@@ -206,10 +206,10 @@ void RunMetaIndexScale() {
 }
 
 // ---------------------------------------------------------------------------
-// E8c — the planner's single-scan event stage against the fixed order's
-// per-(player,video) FindScenes rescans, over a 400k-row events table. The
-// fixed pipeline re-scans the whole table once per pair; the planner costs
-// the fan-out, scans once, and groups scenes by video.
+// E8c — the planner's indexed event stage against the fixed order's scan,
+// over a 400k-row events table. The fixed pipeline scans the events table
+// once per (player, video) pair; the planner looks each pair up in the
+// meta-index's (video, event) index and reads only that key's rows.
 
 void RunEventPlannerScale() {
   bench::PrintHeader("E8c", "planner event stage at 400k event rows");
@@ -244,11 +244,13 @@ void RunEventPlannerScale() {
   }
   // The 50 queried players appear in 4 videos each: 200 (player, video)
   // pairs for the fixed order to rescan the events table over.
+  std::vector<int64_t> pair_videos;
   for (int64_t p = 0; p < 50; ++p) {
     for (int link = 0; link < 4; ++link) {
+      const int64_t role = rng.NextInt(0, 1);
+      pair_videos.push_back(video_oids[rng.NextBounded(video_oids.size())]);
       (void)store.Link("plays_in", player_oids[static_cast<size_t>(p)],
-                       video_oids[rng.NextBounded(video_oids.size())],
-                       rng.NextInt(0, 1));
+                       pair_videos.back(), role);
     }
   }
   auto library = engine::DigitalLibrary::Create(std::move(store)).TakeValue();
@@ -289,6 +291,31 @@ void RunEventPlannerScale() {
   auto [on_hits, on_ms] = run(true);
   library->set_planner_enabled(true);
 
+  // The event stage's lookups alone: one per pair, scan vs index.
+  const core::MetaIndex& meta = library->meta_index();
+  auto lookups = [&](bool indexed) {
+    std::vector<double> ms;
+    std::vector<std::vector<core::Scene>> scenes;
+    for (int rep = 0; rep < kReps; ++rep) {
+      scenes.clear();
+      bench::WallTimer timer;
+      for (int64_t video : pair_videos) {
+        scenes.push_back(
+            indexed ? meta.FindScenes(query.event, video).TakeValue()
+                    : meta.ScanScenes(query.event, video).TakeValue());
+      }
+      ms.push_back(timer.Millis());
+    }
+    return std::make_pair(std::move(scenes), std::move(ms));
+  };
+  auto [scan_scenes, scan_ms] = lookups(false);
+  auto [index_scenes, index_ms] = lookups(true);
+  bool lookups_identical = true;
+  for (size_t i = 0; i < pair_videos.size(); ++i) {
+    lookups_identical =
+        lookups_identical && ScenesEqual(scan_scenes[i], index_scenes[i]);
+  }
+
   bool identical = off_hits.size() == on_hits.size();
   for (size_t i = 0; identical && i < on_hits.size(); ++i) {
     identical = off_hits[i].player_oid == on_hits[i].player_oid &&
@@ -297,8 +324,10 @@ void RunEventPlannerScale() {
                 off_hits[i].range.begin == on_hits[i].range.begin &&
                 off_hits[i].range.end == on_hits[i].range.end &&
                 off_hits[i].event == on_hits[i].event &&
-                off_hits[i].text_score == on_hits[i].text_score;
+                off_hits[i].text_score == on_hits[i].text_score &&
+                off_hits[i].similarity == on_hits[i].similarity;
   }
+  const auto explain = library->ExplainSearch(query).TakeValue();
   const double off_p50 = bench::Percentile(off_ms, 0.5);
   const double on_p50 = bench::Percentile(on_ms, 0.5);
   std::printf("events table: %lld rows, 200 player-video pairs\n\n",
@@ -306,7 +335,7 @@ void RunEventPlannerScale() {
   std::printf("%-26s %10s %10s %10s %9s %6s %5s\n", "variant", "off_p50",
               "on_p50", "on_p99", "speedup", "hits", "same");
   std::printf("%-26s %10.3f %10.3f %10.3f %8.1fx %6zu %5s\n",
-              "event single-scan", off_p50, on_p50,
+              "event index", off_p50, on_p50,
               bench::Percentile(on_ms, 0.99),
               off_p50 / std::max(on_p50, 1e-9), on_hits.size(),
               identical ? "yes" : "NO");
@@ -318,9 +347,35 @@ void RunEventPlannerScale() {
                          bench::Percentile(on_ms, 0.99));
   bench::PrintJsonMetric("e8_indexing", "planner_event_speedup_p50",
                          off_p50 / std::max(on_p50, 1e-9));
+  const double scan_p50 = bench::Percentile(scan_ms, 0.5);
+  const double index_p50 = bench::Percentile(index_ms, 0.5);
+  std::printf("%-26s %10.3f %10.3f %10.3f %8.1fx %6s %5s\n",
+              "lookups only (200 pairs)", scan_p50, index_p50,
+              bench::Percentile(index_ms, 0.99),
+              scan_p50 / std::max(index_p50, 1e-9), "-",
+              lookups_identical ? "yes" : "NO");
   bench::PrintJsonMetric("e8_indexing", "planner_event_identical",
                          identical ? 1.0 : 0.0);
+  bench::PrintJsonMetric("e8_indexing", "event_lookup_scan_p50_ms", scan_p50);
+  bench::PrintJsonMetric("e8_indexing", "event_lookup_index_p50_ms",
+                         index_p50);
+  bench::PrintJsonMetric("e8_indexing", "event_lookup_speedup_p50",
+                         scan_p50 / std::max(index_p50, 1e-9));
+  bench::PrintJsonMetric("e8_indexing", "event_lookup_identical",
+                         lookups_identical ? 1.0 : 0.0);
+  for (const engine::planner::PlanStep& step : explain.steps) {
+    if (step.name != "events:index") continue;
+    std::printf("planner step %s: est=%.1f rows read=%lld\n",
+                step.name.c_str(), step.est_rows,
+                static_cast<long long>(step.actual_rows));
+    bench::PrintJsonMetric("e8_indexing", "planner_event_rows_read",
+                           static_cast<double>(step.actual_rows));
+  }
   bench::PrintRule();
+  if (!identical || !lookups_identical) {
+    std::fprintf(stderr, "E8c: the indexed event stage differs from the scan\n");
+    std::exit(1);
+  }
 }
 
 void BM_SynthesizeBroadcast(benchmark::State& state) {

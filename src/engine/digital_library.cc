@@ -315,8 +315,10 @@ Result<std::vector<SceneHit>> DigitalLibrary::SearchFixedOrder(
       COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> roles,
                              store_.Roles("plays_in", player, video));
       std::set<int64_t> role_set(roles.begin(), roles.end());
+      // The fixed order keeps the events-table scan (not the event index),
+      // so the planner is always checked against an independent path.
       COBRA_ASSIGN_OR_RETURN(std::vector<core::Scene> scenes,
-                             meta_index_.FindScenes(query.event, video));
+                             meta_index_.ScanScenes(query.event, video));
       for (const core::Scene& scene : scenes) {
         // A scene matches if it shows the player's court side, or if it is
         // court-level (player < 0: serves, rallies involve both players).

@@ -196,16 +196,17 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
   }
 
   bool event_provably_empty = false;
+  const int32_t event_code = has_event ? meta.EventCode(query.event) : -1;
+  int64_t event_rows = 0;  // rows holding the queried event name
   if (has_event) {
     if (indexed_videos.empty()) {
       event_provably_empty = true;
     } else {
       const Table& events = meta.events();
       COBRA_ASSIGN_OR_RETURN(size_t name_col, events.ColumnIndex("name"));
-      const int32_t code = events.DictCode(name_col, query.event);
-      int64_t event_rows = 0;
-      if (code >= 0) {
-        COBRA_ASSIGN_OR_RETURN(event_rows, events.CodeCount(name_col, code));
+      if (event_code >= 0) {
+        COBRA_ASSIGN_OR_RETURN(event_rows,
+                               events.CodeCount(name_col, event_code));
       }
       event_provably_empty = event_rows == 0;
     }
@@ -545,107 +546,62 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
   } else if (event_provably_empty && event_skip_safe) {
     ex.steps.push_back({"events: provably empty, skipped", 0.0, 0});
   } else {
-    // Estimated (player, indexed video) pairs decide between one grouped
-    // events scan and the per-pair FindScenes rescans of the fixed order.
-    double fanout = 1.0;
-    if (auto plays = store.AssociationTable("plays_in"); plays.ok()) {
-      const Table* pt = plays.value();
-      if (pt->num_rows() > 0) {
-        COBRA_ASSIGN_OR_RETURN(int64_t from_ndv, pt->Ndv(0));
-        fanout = pt->num_rows() / std::max<double>(1.0, from_ndv);
-      }
-    }
-    const double est_pairs = players.size() * fanout;
-    ex.event_single_scan = est_pairs >= 2.0;
-
-    if (ex.event_single_scan) {
-      COBRA_ASSIGN_OR_RETURN(std::vector<core::Scene> scenes,
-                             meta.FindScenes(query.event));
-      // Group by video, preserving events-table row order within each
-      // group — the order FindScenes(event, video) would return. With a
-      // similar condition, the neighbor video set is pushed down here:
-      // scenes of videos without a neighbor shot can never be answers.
-      std::map<int64_t, std::vector<const core::Scene*>> by_video;
-      for (const core::Scene& scene : scenes) {
-        if (has_similar && !similar.count(scene.video_id)) continue;
-        by_video[scene.video_id].push_back(&scene);
-      }
-      ex.similar_filter_pushed = has_similar;
-      ex.steps.push_back({"events:single_scan", est_pairs,
-                          static_cast<int64_t>(scenes.size())});
-      for (int64_t player : players) {
-        COBRA_ASSIGN_OR_RETURN(std::string name, player_name(player));
-        const double score = score_of(player);
-        COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> videos,
-                               store.Traverse("plays_in", {player}));
-        for (int64_t video : videos) {
-          if (!indexed.count(video)) continue;
-          auto group = by_video.find(video);
-          if (group == by_video.end()) continue;
-          const std::vector<SimilarShot>* neighbors = nullptr;
-          if (has_similar) neighbors = &similar.at(video);
-          COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> roles,
-                                 store.Roles("plays_in", player, video));
-          const std::set<int64_t> role_set(roles.begin(), roles.end());
-          for (const core::Scene* scene : group->second) {
-            if (scene->player >= 0 && !role_set.count(scene->player)) continue;
-            double similarity = -1.0;
-            if (neighbors != nullptr &&
-                !best_overlap(*neighbors, scene->range, &similarity)) {
-              continue;
-            }
-            SceneHit hit;
-            hit.player_oid = player;
-            hit.player_name = name;
-            hit.video_oid = video;
-            hit.range = scene->range;
-            hit.event = scene->event;
-            hit.text_score = score;
-            hit.similarity = similarity;
-            out.push_back(std::move(hit));
-          }
+    // Index nested loop: one event-index lookup per surviving (player,
+    // indexed video) pair; with a similar condition, videos without a
+    // neighbor shot are skipped before the lookup.
+    const std::vector<int64_t>& event_players = meta.events().IntColumn(2);
+    int64_t pairs = 0;
+    int64_t rows_read = 0;
+    for (int64_t player : players) {
+      COBRA_ASSIGN_OR_RETURN(std::string name, player_name(player));
+      const double score = score_of(player);
+      COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> videos,
+                             store.Traverse("plays_in", {player}));
+      for (int64_t video : videos) {
+        if (!indexed.count(video)) continue;
+        const std::vector<SimilarShot>* neighbors = nullptr;
+        if (has_similar) {
+          auto it = similar.find(video);
+          if (it == similar.end()) continue;
+          neighbors = &it->second;
         }
-      }
-    } else {
-      ex.steps.push_back({"events:per_pair", est_pairs, -1});
-      for (int64_t player : players) {
-        COBRA_ASSIGN_OR_RETURN(std::string name, player_name(player));
-        const double score = score_of(player);
-        COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> videos,
-                               store.Traverse("plays_in", {player}));
-        for (int64_t video : videos) {
-          if (!indexed.count(video)) continue;
-          const std::vector<SimilarShot>* neighbors = nullptr;
-          if (has_similar) {
-            auto it = similar.find(video);
-            if (it == similar.end()) continue;
-            neighbors = &it->second;
+        COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> roles,
+                               store.Roles("plays_in", player, video));
+        const std::vector<int32_t> rows = meta.EventRows(video, event_code);
+        ++pairs;
+        rows_read += static_cast<int64_t>(rows.size());
+        for (int32_t row : rows) {
+          const int64_t scene_player = event_players[static_cast<size_t>(row)];
+          if (scene_player >= 0 &&
+              std::find(roles.begin(), roles.end(), scene_player) ==
+                  roles.end()) {
+            continue;
           }
-          COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> roles,
-                                 store.Roles("plays_in", player, video));
-          const std::set<int64_t> role_set(roles.begin(), roles.end());
-          COBRA_ASSIGN_OR_RETURN(std::vector<core::Scene> scenes,
-                                 meta.FindScenes(query.event, video));
-          for (const core::Scene& scene : scenes) {
-            if (scene.player >= 0 && !role_set.count(scene.player)) continue;
-            double similarity = -1.0;
-            if (neighbors != nullptr &&
-                !best_overlap(*neighbors, scene.range, &similarity)) {
-              continue;
-            }
-            SceneHit hit;
-            hit.player_oid = player;
-            hit.player_name = name;
-            hit.video_oid = video;
-            hit.range = scene.range;
-            hit.event = scene.event;
-            hit.text_score = score;
-            hit.similarity = similarity;
-            out.push_back(std::move(hit));
+          core::Scene scene = meta.SceneAt(row);
+          double similarity = -1.0;
+          if (neighbors != nullptr &&
+              !best_overlap(*neighbors, scene.range, &similarity)) {
+            continue;
           }
+          SceneHit hit;
+          hit.player_oid = player;
+          hit.player_name = name;
+          hit.video_oid = video;
+          hit.range = scene.range;
+          hit.event = std::move(scene.event);
+          hit.text_score = score;
+          hit.similarity = similarity;
+          out.push_back(std::move(hit));
         }
       }
     }
+    ex.similar_filter_pushed = has_similar;
+    // Estimate: the event's rows spread evenly over the indexed videos.
+    ex.steps.push_back(
+        {"events:index",
+         static_cast<double>(pairs) * event_rows /
+             std::max<double>(1.0, static_cast<double>(indexed_videos.size())),
+         rows_read});
   }
 
   ex.steps.push_back({"hits", static_cast<double>(out.size()),

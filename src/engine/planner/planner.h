@@ -14,8 +14,9 @@
 ///     the concept candidates as a DAAT accept filter
 ///     (`InvertedIndex::SearchTopNFiltered`) so postings of non-candidates
 ///     are skipped block-wise;
-///   * the event stage replaces the per-(player, video) `FindScenes`
-///     rescans with one grouped scan when more than one pair is expected;
+///   * the event stage is an index nested loop: one lookup in the
+///     meta-index's (video, event) index per surviving (player, video)
+///     pair, where the fixed order scans the events table per pair;
 ///   * provably-empty modalities (dictionary miss, empty zone range, no
 ///     indexed videos) short-circuit the whole plan.
 /// Results are bit-identical to the fixed order on every query, including

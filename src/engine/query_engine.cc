@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <functional>
 #include <utility>
 
@@ -21,6 +22,25 @@ void AppendField(const std::string& field, std::string* key) {
 
 void AppendInt(int64_t value, std::string* key) {
   AppendField(std::to_string(value), key);
+}
+
+/// Appends the neighbor set of a frontend similar seed. The seed is
+/// resolved over every shard, so the shard's own epoch does not cover it:
+/// a republish of another shard can change it while this epoch stands.
+void AppendSimilarSeed(const SimilarSeed& seed, std::string* key) {
+  AppendField("similar_seed", key);
+  AppendInt(static_cast<int64_t>(seed.neighbors.size()), key);
+  for (const auto& [video, shots] : seed.neighbors) {
+    AppendInt(video, key);
+    AppendInt(static_cast<int64_t>(shots.size()), key);
+    for (const SimilarShot& shot : shots) {
+      AppendInt(shot.range.begin, key);
+      AppendInt(shot.range.end, key);
+      int64_t bits = 0;
+      std::memcpy(&bits, &shot.distance, sizeof(bits));
+      AppendInt(bits, key);
+    }
+  }
 }
 
 }  // namespace
@@ -144,7 +164,11 @@ Result<std::vector<SceneHit>> QueryEngine::CachedEval(const std::string& key,
 Result<std::vector<SceneHit>> QueryEngine::Search(
     const CombinedQuery& query, const std::map<int64_t, double>* text_seed,
     const SimilarSeed* similar_seed) {
-  return CachedEval(NormalizedKey(query), [&](text::SearchStats* stats) {
+  std::string key = NormalizedKey(query);
+  if (similar_seed != nullptr && query.similar_video >= 0) {
+    AppendSimilarSeed(*similar_seed, &key);
+  }
+  return CachedEval(key, [&](text::SearchStats* stats) {
     planner::PlanExplain explain;
     Result<std::vector<SceneHit>> result =
         library_->Search(query, stats, &explain, text_seed, similar_seed);

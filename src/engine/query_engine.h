@@ -81,11 +81,11 @@ class QueryEngine {
   /// precomputed text stage forwarded to DigitalLibrary::Search — results
   /// are identical with or without it, so seeded and unseeded evaluations
   /// share cache entries under the same normalized key. `similar_seed` is
-  /// the analogous frontend-resolved similar stage (see SimilarSeed); note
-  /// that unlike the text seed it is *partition-dependent*: on a sharded
-  /// library, seeded and unseeded evaluations of a similar query answer
-  /// different questions (global vs local neighbors), which is fine for the
-  /// serving tier because shard engines are only ever queried seeded.
+  /// the analogous frontend-resolved similar stage (see SimilarSeed); unlike
+  /// the text seed it is *partition-dependent* (global vs local neighbors)
+  /// and can change without this library's epoch moving (another shard
+  /// republished), so a similar query's key also holds the seed's neighbor
+  /// set.
   Result<std::vector<SceneHit>> Search(
       const CombinedQuery& query,
       const std::map<int64_t, double>* text_seed = nullptr,

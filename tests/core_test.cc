@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/event_grammar.h"
 #include "core/meta_index.h"
 #include "core/tennis_fde.h"
 #include "core/video_description.h"
 #include "detectors/event_rules.h"
 #include "media/tennis_synthesizer.h"
+#include "storage/ops.h"
+#include "util/rng.h"
 
 namespace cobra::core {
 namespace {
@@ -340,6 +344,144 @@ TEST(MetaIndexTest, UnknownEventEmpty) {
   ASSERT_TRUE(meta.AddVideo(SharedDescription()).ok());
   EXPECT_TRUE(meta.FindScenes("moonwalk").TakeValue().empty());
   EXPECT_TRUE(meta.FindScenes("net_play", 999).TakeValue().empty());
+}
+
+// ---------- Event index: the indexed lookup equals the scan ----------
+
+/// A video with `n` random events over a small name pool; "lob" appears
+/// only in odd videos, so some (video, event) keys are empty.
+VideoDescription RandomEventVideo(int64_t video_id, int n, Rng& rng) {
+  const char* names[] = {"net_play", "rally", "service", "smash", "lob"};
+  VideoDescription desc(video_id, "synthetic", 25.0, 10000);
+  for (int e = 0; e < n; ++e) {
+    const size_t name = rng.NextBounded(video_id % 2 == 1 ? 5 : 4);
+    const int64_t begin = rng.NextInt(0, 9000);
+    desc.Add(CobraLayer::kEvent,
+             grammar::Annotation(names[name],
+                                 {begin, begin + rng.NextInt(1, 900)})
+                 .Set("player", rng.NextInt(-1, 1)));
+  }
+  return desc;
+}
+
+/// Scenes of the raw `SelectAll` scan over the events table.
+std::vector<Scene> SelectAllScenes(const MetaIndex& meta,
+                                   const std::string& event, int64_t video,
+                                   int64_t player) {
+  std::vector<storage::Predicate> preds = {
+      {"name", storage::CompareOp::kEq, event},
+      {"video_id", storage::CompareOp::kEq, video}};
+  if (player >= 0) {
+    preds.push_back({"player", storage::CompareOp::kEq, player});
+  }
+  std::vector<Scene> out;
+  for (int64_t row : storage::SelectAll(meta.events(), preds).TakeValue()) {
+    out.push_back(meta.SceneAt(row));
+  }
+  return out;
+}
+
+void ExpectSameScenes(const std::vector<Scene>& want,
+                      const std::vector<Scene>& got, const std::string& label) {
+  ASSERT_EQ(want.size(), got.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].video_id, got[i].video_id) << label << " scene " << i;
+    EXPECT_EQ(want[i].event, got[i].event) << label << " scene " << i;
+    EXPECT_EQ(want[i].player, got[i].player) << label << " scene " << i;
+    EXPECT_EQ(want[i].range.begin, got[i].range.begin)
+        << label << " scene " << i;
+    EXPECT_EQ(want[i].range.end, got[i].range.end)
+        << label << " scene " << i;
+  }
+}
+
+/// Every (event, video, player) lookup, including unknown names and
+/// videos, against the scan; returns the number of scenes compared.
+size_t ExpectIndexMatchesScan(const MetaIndex& meta, const std::string& label) {
+  const char* events[] = {"net_play", "rally", "service", "smash", "lob",
+                          "moonwalk", ""};
+  size_t scenes = 0;
+  for (const char* event : events) {
+    for (int64_t video = -1; video <= 12; ++video) {
+      for (int64_t player : {int64_t{-1}, int64_t{0}, int64_t{1}, int64_t{5}}) {
+        const std::string what = label + " event=" + event +
+                                 " video=" + std::to_string(video) +
+                                 " player=" + std::to_string(player);
+        const std::vector<Scene> indexed =
+            meta.FindScenes(event, video, player).TakeValue();
+        ExpectSameScenes(meta.ScanScenes(event, video, player).TakeValue(),
+                         indexed, what);
+        if (video >= 0) {
+          ExpectSameScenes(SelectAllScenes(meta, event, video, player),
+                           indexed, what);
+        }
+        scenes += indexed.size();
+      }
+    }
+  }
+  return scenes;
+}
+
+TEST(MetaIndexTest, EventIndexMatchesScanOnRandomTables) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    auto meta = MetaIndex::Create().TakeValue();
+    // Videos arrive in random order, and some twice: a repeated video's
+    // rows are not contiguous in the events table.
+    for (int add = 0; add < 14; ++add) {
+      const int64_t video = static_cast<int64_t>(rng.NextBounded(10));
+      const int events = static_cast<int>(rng.NextBounded(60));
+      ASSERT_TRUE(meta.AddVideo(RandomEventVideo(video, events, rng)).ok());
+    }
+    const std::string label = "seed=" + std::to_string(seed);
+    EXPECT_GT(ExpectIndexMatchesScan(meta, label), 0u) << label;
+  }
+}
+
+TEST(MetaIndexTest, EventIndexRebuiltByFromTablesAndExtendedAfter) {
+  Rng rng(99);
+  auto meta = MetaIndex::Create().TakeValue();
+  for (int64_t video : {3, 1, 3, 4}) {
+    ASSERT_TRUE(meta.AddVideo(RandomEventVideo(video, 40, rng)).ok());
+  }
+  auto restored =
+      MetaIndex::FromTables(meta.shots(), meta.objects(), meta.events(),
+                            meta.num_videos())
+          .TakeValue();
+  ExpectIndexMatchesScan(restored, "restored");
+  // The same appends on both sides: a known video again (non-contiguous
+  // rows), a new one, and one with the odd-only event name "lob".
+  for (int64_t video : {1, 6, 9}) {
+    const VideoDescription desc = RandomEventVideo(video, 30, rng);
+    ASSERT_TRUE(meta.AddVideo(desc).ok());
+    ASSERT_TRUE(restored.AddVideo(desc).ok());
+  }
+  EXPECT_EQ(restored.events().num_rows(), meta.events().num_rows());
+  ExpectIndexMatchesScan(restored, "restored+added");
+  for (int64_t video = 0; video <= 10; ++video) {
+    ExpectSameScenes(meta.FindScenes("net_play", video).TakeValue(),
+                     restored.FindScenes("net_play", video).TakeValue(),
+                     "fresh vs restored video=" + std::to_string(video));
+  }
+}
+
+TEST(MetaIndexTest, EventRowsAscendAndMissUnknownKeys) {
+  Rng rng(5);
+  auto meta = MetaIndex::Create().TakeValue();
+  ASSERT_TRUE(meta.AddVideo(RandomEventVideo(2, 50, rng)).ok());
+  ASSERT_TRUE(meta.AddVideo(RandomEventVideo(8, 50, rng)).ok());
+  ASSERT_TRUE(meta.AddVideo(RandomEventVideo(2, 50, rng)).ok());
+  const int32_t code = meta.EventCode("rally");
+  ASSERT_GE(code, 0);
+  const std::vector<int32_t> rows = meta.EventRows(2, code);
+  ASSERT_FALSE(rows.empty());
+  EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+  EXPECT_LT(rows.front(), 50);   // first copy of video 2 ...
+  EXPECT_GE(rows.back(), 100);   // ... and its second, after video 8
+  EXPECT_EQ(meta.EventCode("moonwalk"), -1);
+  EXPECT_TRUE(meta.EventRows(2, -1).empty());
+  EXPECT_TRUE(meta.EventRows(2, 1000).empty());
+  EXPECT_TRUE(meta.EventRows(77, code).empty());
 }
 
 }  // namespace

@@ -16,13 +16,15 @@
 ///     serving deployment — videos routed, interviews + FinalizeText
 ///     replicated — answers the sweep through the frontend bit-identically
 ///     to the unsharded oracle, while queries racing the publishes stay
-///     well-formed.
+///     well-formed; a similar_to answer cached on a shard that did not
+///     republish follows the grown global neighbor set.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -577,7 +579,9 @@ struct ShardedFixture {
   std::unique_ptr<DigitalLibrary> oracle;
 };
 
-ShardedFixture MakeShardedFixture() {
+ShardedFixture MakeShardedFixture(
+    const std::function<std::vector<vision::SignatureRecord>(int64_t)>&
+        signatures = MakeSignatures) {
   ShardedFixture fx;
   auto site = MakeSite();
   std::vector<std::pair<int64_t, std::string>> interviews(
@@ -592,7 +596,7 @@ ShardedFixture MakeShardedFixture() {
   }
   for (size_t v = 0; v < video_split; ++v) {
     fx.seed.videos.push_back(MakeVideo(videos[v]));
-    fx.seed.signatures.emplace_back(videos[v], MakeSignatures(videos[v]));
+    fx.seed.signatures.emplace_back(videos[v], signatures(videos[v]));
   }
   for (size_t i = interview_split; i < interviews.size(); ++i) {
     fx.live.push_back(
@@ -601,7 +605,7 @@ ShardedFixture MakeShardedFixture() {
   fx.live.push_back(IngestDelta::FinalizeText());
   for (size_t v = video_split; v < videos.size(); ++v) {
     fx.live.push_back(IngestDelta::Video(MakeVideo(videos[v]),
-                                         MakeSignatures(videos[v])));
+                                         signatures(videos[v])));
   }
 
   // The oracle replays the same per-modality sequences unsharded: all
@@ -613,7 +617,7 @@ ShardedFixture MakeShardedFixture() {
   EXPECT_TRUE(fx.oracle->FinalizeText().ok());
   for (int64_t oid : videos) {
     EXPECT_TRUE(fx.oracle->AddVideoDescription(MakeVideo(oid)).ok());
-    EXPECT_TRUE(fx.oracle->AddVideoSignatures(oid, MakeSignatures(oid)).ok());
+    EXPECT_TRUE(fx.oracle->AddVideoSignatures(oid, signatures(oid)).ok());
   }
   return fx;
 }
@@ -708,6 +712,71 @@ TEST(ShardedIngestTest, QueriesRacingPublishesStayWellFormed) {
   if (expected.ok()) {
     ExpectBitIdentical(*expected, *actual, "post-race");
   }
+}
+
+TEST(ShardedIngestTest, CachedSimilarAnswerFollowsPublishOfAnotherShard) {
+  // Planted near-duplicates of the probe shot (record 0 of the first seed
+  // video, shard 0): records 1 and 2 of that video sit 2 and 3 bits away,
+  // and record 0 of the last live video (routed to the last shard) 1 bit
+  // away. With k = 2, live ingest moves the global neighbor set from
+  // {record 1, record 2} to {live record, record 1}: shard 0 publishes
+  // nothing, yet its answer changes.
+  const std::vector<int64_t> videos = MakeSite().video_oids;
+  const int64_t probe_video = videos.front();
+  const int64_t live_video = videos.back();
+  const vision::ShotSignature probe = MakeSignatures(probe_video)[0].sig;
+  auto planted = [&](int64_t oid) {
+    std::vector<vision::SignatureRecord> records = MakeSignatures(oid);
+    auto near = [&](size_t record, uint64_t flipped_bits) {
+      records[record].sig = probe;
+      records[record].sig.hash[0] ^= flipped_bits;
+    };
+    if (oid == probe_video) {
+      near(1, 0x3);
+      near(2, 0x7);
+    }
+    if (oid == live_video) near(0, 0x1);
+    return records;
+  };
+  const ShardedFixture fx = MakeShardedFixture(planted);
+
+  ShardedIngestSink::Options options;
+  options.num_shards = 2;
+  options.finalize_seed_text = false;
+  auto sink = ShardedIngestSink::Create(fx.seed, options).TakeValue();
+  ASSERT_EQ(sink->router().ShardOf(probe_video), 0u);
+  // Only the live videos arrive, all routed to the last shard: replicated
+  // interviews would republish shard 0 too.
+  std::vector<IngestDelta> live_videos;
+  for (const IngestDelta& op : fx.live) {
+    if (op.kind != IngestDelta::Kind::kVideo) continue;
+    ASSERT_EQ(sink->router().ShardOf(op.video.video_id()), 1u);
+    live_videos.push_back(op);
+  }
+
+  CombinedQuery query;
+  query.similar_video = probe_video;
+  query.similar_frame = 0;
+  query.similar_k = 2;
+  // Answered (and cached on shard 0) before the live tail arrives.
+  auto before = sink->frontend().Search(query, 0);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_FALSE(before->empty());
+
+  util::ThreadPool pool(2);
+  CorpusIngestPipeline::Options pipeline_options;
+  pipeline_options.pool = &pool;
+  CorpusIngestPipeline pipeline(sink.get(), pipeline_options);
+  ASSERT_TRUE(RunOps(&pipeline, live_videos).ok());
+
+  auto expected = fx.oracle->Search(query);
+  auto actual = sink->frontend().Search(query, 0);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  bool live_hit = false;
+  for (const SceneHit& hit : *expected) live_hit |= hit.video_oid == live_video;
+  ASSERT_TRUE(live_hit) << "the planted live neighbor must change the answer";
+  ExpectBitIdentical(*expected, *actual, "after growth");
 }
 
 }  // namespace
