@@ -2,13 +2,15 @@
 /// E13 — sharded scatter-gather serving (DESIGN.md §4i). A closed-loop
 /// mixed traffic stream (concept-only, text, and content queries) is
 /// answered by
-///   a) the single-node engine::QueryEngine over the unsharded library
-///      (full result sets — the engine has no top-N API), and
+///   a) the single-node engine::QueryEngine over the unsharded library,
+///      asked for the top-10 like the frontend (plus a second, labeled row
+///      asking it for full result sets), and
 ///   b) the ServingFrontend at 1, 2 and 4 shards serving the global
 ///      top-10 via the block-max-bounded merge;
 /// reporting max sustainable QPS plus p50/p99 latency for each, the 4-shard
-/// speedup, a bit-identity check of the merged answers against the oracle,
-/// and an overload arm at ~2x the single-client saturation load with tiny
+/// speedup over the top-10 engine, a bit-identity check of the top-10
+/// engine and the merged answers against the unbounded oracle (the process
+/// exits 1 when it fails), and an overload arm at ~2x the single-client saturation load with tiny
 /// admission queues, where p99 must stay bounded because excess queries are
 /// shed (Unavailable), not queued.
 ///
@@ -156,14 +158,13 @@ bool BitIdentical(const std::vector<SceneHit>& a,
                   const std::vector<SceneHit>& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    uint64_t bits_a = 0, bits_b = 0;
-    std::memcpy(&bits_a, &a[i].text_score, 8);
-    std::memcpy(&bits_b, &b[i].text_score, 8);
     if (a[i].player_oid != b[i].player_oid ||
+        a[i].player_name != b[i].player_name ||
         a[i].video_oid != b[i].video_oid ||
         a[i].range.begin != b[i].range.begin ||
         a[i].range.end != b[i].range.end || a[i].event != b[i].event ||
-        bits_a != bits_b) {
+        std::memcmp(&a[i].text_score, &b[i].text_score, 8) != 0 ||
+        std::memcmp(&a[i].similarity, &b[i].similarity, 8) != 0) {
       return false;
     }
   }
@@ -184,24 +185,55 @@ int main() {
   std::printf("corpus: %zu videos, %zu interviews, stream of %zu queries\n",
               parts.videos.size(), parts.interviews.size(), stream.size());
 
-  // ---- a) single-node baseline: full result sets from one engine. ----
+  // The unbounded oracle answers of every 7th query, truncated to the
+  // top-10: what the top-10 engine and every frontend must return.
+  std::vector<Result<std::vector<SceneHit>>> expected;
+  for (size_t i = 0; i < stream.size(); i += 7) {
+    auto want = oracle->Search(stream[i]);
+    if (want.ok() && want->size() > kTopN) want->resize(kTopN);
+    expected.push_back(std::move(want));
+  }
+  bool identical = true;
+  auto check = [&](const auto& answer) {
+    for (size_t i = 0, k = 0; i < stream.size(); i += 7, ++k) {
+      const Result<std::vector<SceneHit>> actual = answer(stream[i]);
+      if (expected[k].ok() != actual.ok()) {
+        identical = false;
+      } else if (actual.ok()) {
+        identical = identical && BitIdentical(*expected[k], *actual);
+      }
+    }
+  };
+
+  // ---- a) single-node baseline: one engine, top-10 (then full sets). ----
   engine::QueryEngineConfig engine_config;
   engine_config.num_threads = 1;
-  engine::QueryEngine baseline(oracle.get(), engine_config);
-  for (size_t i = 0; i < stream.size(); i += 10) {
-    (void)baseline.Search(stream[i]);  // warm the cache + page the index
+  LoopResult base;
+  for (const size_t limit : {kTopN, size_t{0}}) {
+    engine::QueryEngine baseline(oracle.get(), engine_config);
+    auto search = [&](const CombinedQuery& q) {
+      return baseline.Search(q, nullptr, nullptr, limit);
+    };
+    for (size_t i = 0; i < stream.size(); i += 10) {
+      (void)search(stream[i]);  // warm the cache + page the index
+    }
+    const LoopResult run =
+        ClosedLoop(stream, [&](const CombinedQuery& q) { (void)search(q); });
+    const char* label = limit > 0 ? "baseline top10 " : "baseline full  ";
+    std::printf("%s %8.1f qps   p50 %7.3f ms   p99 %7.3f ms\n", label,
+                run.qps, run.p50_ms, run.p99_ms);
+    const std::string tag = limit > 0 ? "baseline" : "baseline_full";
+    bench::PrintJsonMetric(kBench, (tag + "_qps").c_str(), run.qps);
+    bench::PrintJsonMetric(kBench, (tag + "_p50_ms").c_str(), run.p50_ms);
+    bench::PrintJsonMetric(kBench, (tag + "_p99_ms").c_str(), run.p99_ms);
+    if (limit > 0) {
+      base = run;
+      check(search);
+    }
   }
-  const LoopResult base =
-      ClosedLoop(stream, [&](const CombinedQuery& q) { (void)baseline.Search(q); });
-  std::printf("baseline        %8.1f qps   p50 %7.3f ms   p99 %7.3f ms\n",
-              base.qps, base.p50_ms, base.p99_ms);
-  bench::PrintJsonMetric(kBench, "baseline_qps", base.qps);
-  bench::PrintJsonMetric(kBench, "baseline_p50_ms", base.p50_ms);
-  bench::PrintJsonMetric(kBench, "baseline_p99_ms", base.p99_ms);
 
   // ---- b) serving tier at 1, 2 and 4 shards, global top-10. ----
   double qps4 = 0.0;
-  bool identical = true;
   for (size_t num_shards : {1u, 2u, 4u}) {
     auto shards =
         engine::serving::BuildShardLibraries(parts, num_shards).TakeValue();
@@ -225,18 +257,7 @@ int main() {
     if (num_shards == 4) qps4 = run.qps;
 
     // Merged answers must be bit-identical to the oracle's top-10.
-    for (size_t i = 0; i < stream.size(); i += 7) {
-      auto expected = oracle->Search(stream[i]);
-      auto actual = frontend->Search(stream[i], kTopN);
-      if (expected.ok() != actual.ok()) {
-        identical = false;
-        continue;
-      }
-      if (!expected.ok()) continue;
-      auto want = *std::move(expected);
-      if (want.size() > kTopN) want.resize(kTopN);
-      identical = identical && BitIdentical(want, *actual);
-    }
+    check([&](const CombinedQuery& q) { return frontend->Search(q, kTopN); });
   }
   bench::PrintRule();
   const double speedup = base.qps > 0.0 ? qps4 / base.qps : 0.0;
@@ -296,6 +317,10 @@ int main() {
         overload_p99);
     bench::PrintJsonMetric(kBench, "overload_shed_fraction", shed_fraction);
     bench::PrintJsonMetric(kBench, "overload_accepted_p99_ms", overload_p99);
+  }
+  if (!identical) {
+    std::fprintf(stderr, "E13: answers differ from the oracle's top-10\n");
+    return 1;
   }
   return 0;
 }

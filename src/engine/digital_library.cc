@@ -191,11 +191,16 @@ Result<std::vector<SceneHit>> DigitalLibrary::Search(
     const CombinedQuery& query, text::SearchStats* stats,
     planner::PlanExplain* explain,
     const std::map<int64_t, double>* text_seed,
-    const SimilarSeed* similar_seed) const {
-  if (!planner_enabled_) {
+    const SimilarSeed* similar_seed, size_t limit) const {
+  auto fixed_order = [&]() -> Result<std::vector<SceneHit>> {
     if (explain) *explain = planner::PlanExplain{};
-    return SearchFixedOrder(query, stats, text_seed, similar_seed);
-  }
+    COBRA_ASSIGN_OR_RETURN(
+        std::vector<SceneHit> hits,
+        SearchFixedOrder(query, stats, text_seed, similar_seed));
+    if (limit > 0 && hits.size() > limit) hits.resize(limit);
+    return hits;
+  };
+  if (!planner_enabled_) return fixed_order();
   // Lazy-validation parity: the fixed order never checks a predicate past
   // an empty selection (storage::SelectAll stops refining), so whether a
   // malformed predicate errors depends on actual row sets. Those rare
@@ -203,8 +208,7 @@ Result<std::vector<SceneHit>> DigitalLibrary::Search(
   if (auto players = store_.ClassTable("Player"); players.ok()) {
     for (const storage::Predicate& pred : query.player_predicates) {
       if (!storage::ValidatePredicate(*players.value(), pred).ok()) {
-        if (explain) *explain = planner::PlanExplain{};
-        return SearchFixedOrder(query, stats, text_seed, similar_seed);
+        return fixed_order();
       }
     }
   }
@@ -213,7 +217,7 @@ Result<std::vector<SceneHit>> DigitalLibrary::Search(
   planner::PlanExplain local;
   return planner::SearchPlanned(view, query, stats,
                                 explain ? explain : &local, text_seed,
-                                similar_seed);
+                                similar_seed, limit);
 }
 
 Result<planner::PlanExplain> DigitalLibrary::ExplainSearch(

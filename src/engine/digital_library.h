@@ -173,9 +173,10 @@ class DigitalLibrary {
   /// caches key on it: an entry tagged with an older epoch is stale.
   int64_t index_epoch() const { return index_epoch_; }
 
-  /// The combined query. Results are fully deterministically ordered:
-  /// text score descending, then video id, then scene start, then scene
-  /// end, then player oid, then event name; text_score carries the
+  /// The combined query. Results are fully deterministically ordered
+  /// (SceneHitLess): text score descending, then similarity ascending, then
+  /// video id, then scene start, then scene end, then player oid, then
+  /// event name; text_score carries the
   /// interview relevance when a text condition was present (0 otherwise).
   /// When `stats` is non-null it receives the text-index work counters of
   /// this query (zeroed when the query has no text condition).
@@ -196,11 +197,16 @@ class DigitalLibrary {
   /// *partitioned* rather than replicated: the frontend resolves the probe
   /// signature and global neighbor set once and every shard consumes it
   /// verbatim (see SimilarSeed).
+  ///
+  /// `limit` > 0 returns only the first `limit` hits of that order (0 =
+  /// all): the planner ranks light candidates and builds only the top
+  /// `limit` SceneHits; the fixed-order path is truncated. Either way the
+  /// answer equals SearchFixedOrder truncated to `limit`.
   Result<std::vector<SceneHit>> Search(
       const CombinedQuery& query, text::SearchStats* stats = nullptr,
       planner::PlanExplain* explain = nullptr,
       const std::map<int64_t, double>* text_seed = nullptr,
-      const SimilarSeed* similar_seed = nullptr) const;
+      const SimilarSeed* similar_seed = nullptr, size_t limit = 0) const;
 
   /// The original fixed-order pipeline (concept scan -> text -> events),
   /// kept verbatim as the reference oracle the planner is validated

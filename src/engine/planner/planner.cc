@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -25,6 +24,29 @@ struct RankedPred {
   double fraction = 1.0;   ///< estimated matching fraction
   bool provably_empty = false;
 };
+
+/// One answer scene before materialization: every SceneHit field the
+/// total order compares except the event name, which all candidates of a
+/// query share, plus the position of its player in the surviving set.
+struct Candidate {
+  double text_score;
+  double similarity;
+  int64_t video_oid;
+  int64_t begin;
+  int64_t end;
+  int64_t player_oid;
+  size_t player_index;
+};
+
+/// SceneHitLess over candidates (the shared event name cannot break ties).
+bool CandidateLess(const Candidate& a, const Candidate& b) {
+  if (a.text_score != b.text_score) return a.text_score > b.text_score;
+  if (a.similarity != b.similarity) return a.similarity < b.similarity;
+  if (a.video_oid != b.video_oid) return a.video_oid < b.video_oid;
+  if (a.begin != b.begin) return a.begin < b.begin;
+  if (a.end != b.end) return a.end < b.end;
+  return a.player_oid < b.player_oid;
+}
 
 const char* StrategyName(TraversalStrategy s) {
   return s == TraversalStrategy::kScan ? "scan" : "walk";
@@ -57,7 +79,7 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
     const LibraryView& view, const CombinedQuery& query,
     text::SearchStats* stats, PlanExplain& ex,
     const std::map<int64_t, double>* text_seed,
-    const SimilarSeed* similar_seed) {
+    const SimilarSeed* similar_seed, size_t limit) {
   const WebspaceStore& store = *view.store;
   const text::InvertedIndex& interviews = *view.interviews;
   const core::MetaIndex& meta = *view.meta_index;
@@ -485,13 +507,13 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
   }
 
   // --- Event stage ---------------------------------------------------------
-  std::vector<SceneHit> out;
-  const std::set<int64_t> indexed(indexed_videos.begin(), indexed_videos.end());
-
-  auto player_name = [&](int64_t player) -> Result<std::string> {
-    COBRA_ASSIGN_OR_RETURN(storage::Value v,
-                           store.GetAttribute("Player", player, "name"));
-    return std::get<std::string>(v);
+  // Every branch below collects light candidates; only the top `limit` of
+  // them become SceneHits (late materialization).
+  std::vector<Candidate> cands;
+  std::vector<int64_t> indexed = indexed_videos;
+  std::sort(indexed.begin(), indexed.end());
+  auto is_indexed = [&](int64_t video) {
+    return std::binary_search(indexed.begin(), indexed.end(), video);
   };
   auto score_of = [&](int64_t player) {
     auto it = text_scores.find(player);
@@ -509,37 +531,32 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
     }
     return overlapped;
   };
+  // Names are read for survivors only, so the one lookup that can fail for
+  // any player (a store without a name attribute) is surfaced here, where
+  // the fixed order's first per-player name lookup would.
+  COBRA_RETURN_NOT_OK(players_table->ColumnIndex("name").status());
 
   if (!has_event && !has_similar) {
-    for (int64_t player : players) {
-      COBRA_ASSIGN_OR_RETURN(std::string name, player_name(player));
-      SceneHit hit;
-      hit.player_oid = player;
-      hit.player_name = std::move(name);
-      hit.text_score = score_of(player);
-      out.push_back(std::move(hit));
+    const FrameInterval none;
+    for (size_t i = 0; i < players.size(); ++i) {
+      cands.push_back({score_of(players[i]), -1.0, -1, none.begin, none.end,
+                       players[i], i});
     }
   } else if (!has_event) {
     // Similar-only content condition: every neighbor shot of an indexed
     // video the player plays in is an answer scene.
-    for (int64_t player : players) {
-      COBRA_ASSIGN_OR_RETURN(std::string name, player_name(player));
+    for (size_t i = 0; i < players.size(); ++i) {
+      const int64_t player = players[i];
       const double score = score_of(player);
       COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> videos,
                              store.Traverse("plays_in", {player}));
       for (int64_t video : videos) {
-        if (!indexed.count(video)) continue;
+        if (!is_indexed(video)) continue;
         auto it = similar.find(video);
         if (it == similar.end()) continue;
         for (const SimilarShot& shot : it->second) {
-          SceneHit hit;
-          hit.player_oid = player;
-          hit.player_name = name;
-          hit.video_oid = video;
-          hit.range = shot.range;
-          hit.text_score = score;
-          hit.similarity = shot.distance;
-          out.push_back(std::move(hit));
+          cands.push_back({score, shot.distance, video, shot.range.begin,
+                           shot.range.end, player, i});
         }
       }
     }
@@ -548,17 +565,21 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
   } else {
     // Index nested loop: one event-index lookup per surviving (player,
     // indexed video) pair; with a similar condition, videos without a
-    // neighbor shot are skipped before the lookup.
-    const std::vector<int64_t>& event_players = meta.events().IntColumn(2);
+    // neighbor shot are skipped before the lookup. Scene bounds come
+    // straight from the events table's int columns.
+    const Table& events = meta.events();
+    const std::vector<int64_t>& event_players = events.IntColumn(2);
+    const std::vector<int64_t>& event_begins = events.IntColumn(3);
+    const std::vector<int64_t>& event_ends = events.IntColumn(4);
     int64_t pairs = 0;
     int64_t rows_read = 0;
-    for (int64_t player : players) {
-      COBRA_ASSIGN_OR_RETURN(std::string name, player_name(player));
+    for (size_t i = 0; i < players.size(); ++i) {
+      const int64_t player = players[i];
       const double score = score_of(player);
       COBRA_ASSIGN_OR_RETURN(std::vector<int64_t> videos,
                              store.Traverse("plays_in", {player}));
       for (int64_t video : videos) {
-        if (!indexed.count(video)) continue;
+        if (!is_indexed(video)) continue;
         const std::vector<SimilarShot>* neighbors = nullptr;
         if (has_similar) {
           auto it = similar.find(video);
@@ -571,27 +592,21 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
         ++pairs;
         rows_read += static_cast<int64_t>(rows.size());
         for (int32_t row : rows) {
-          const int64_t scene_player = event_players[static_cast<size_t>(row)];
+          const size_t r = static_cast<size_t>(row);
+          const int64_t scene_player = event_players[r];
           if (scene_player >= 0 &&
               std::find(roles.begin(), roles.end(), scene_player) ==
                   roles.end()) {
             continue;
           }
-          core::Scene scene = meta.SceneAt(row);
+          const FrameInterval range{event_begins[r], event_ends[r]};
           double similarity = -1.0;
           if (neighbors != nullptr &&
-              !best_overlap(*neighbors, scene.range, &similarity)) {
+              !best_overlap(*neighbors, range, &similarity)) {
             continue;
           }
-          SceneHit hit;
-          hit.player_oid = player;
-          hit.player_name = name;
-          hit.video_oid = video;
-          hit.range = scene.range;
-          hit.event = std::move(scene.event);
-          hit.text_score = score;
-          hit.similarity = similarity;
-          out.push_back(std::move(hit));
+          cands.push_back(
+              {score, similarity, video, range.begin, range.end, player, i});
         }
       }
     }
@@ -604,11 +619,44 @@ Result<std::vector<SceneHit>> SearchPlannedImpl(
          rows_read});
   }
 
-  ex.steps.push_back({"hits", static_cast<double>(out.size()),
-                      static_cast<int64_t>(out.size())});
+  ex.steps.push_back({"hits", static_cast<double>(cands.size()),
+                      static_cast<int64_t>(cands.size())});
   // The shared total order makes the output bit-identical to the fixed
-  // pipeline whenever the hit multisets agree.
-  std::sort(out.begin(), out.end(), SceneHitLess);
+  // pipeline (truncated to `limit`) whenever the hit multisets agree.
+  if (limit > 0 && limit < cands.size()) {
+    std::partial_sort(cands.begin(), cands.begin() + limit, cands.end(),
+                      CandidateLess);
+    cands.resize(limit);
+  } else {
+    std::sort(cands.begin(), cands.end(), CandidateLess);
+  }
+  if (limit > 0) {
+    ex.steps.push_back({StringFormat("top_n(%zu)", limit),
+                        static_cast<double>(limit),
+                        static_cast<int64_t>(cands.size())});
+  }
+
+  std::vector<std::string> names(players.size());
+  std::vector<bool> named(players.size(), false);
+  std::vector<SceneHit> out;
+  out.reserve(cands.size());
+  for (const Candidate& c : cands) {
+    if (!named[c.player_index]) {
+      COBRA_ASSIGN_OR_RETURN(storage::Value v,
+                             store.GetAttribute("Player", c.player_oid, "name"));
+      names[c.player_index] = std::get<std::string>(std::move(v));
+      named[c.player_index] = true;
+    }
+    SceneHit hit;
+    hit.player_oid = c.player_oid;
+    hit.player_name = names[c.player_index];
+    hit.video_oid = c.video_oid;
+    hit.range = {c.begin, c.end};
+    if (has_event) hit.event = query.event;
+    hit.text_score = c.text_score;
+    hit.similarity = c.similarity;
+    out.push_back(std::move(hit));
+  }
   return out;
 }
 
@@ -618,10 +666,10 @@ Result<std::vector<SceneHit>> SearchPlanned(
     const LibraryView& view, const CombinedQuery& query,
     text::SearchStats* stats, PlanExplain* explain,
     const std::map<int64_t, double>* text_seed,
-    const SimilarSeed* similar_seed) {
+    const SimilarSeed* similar_seed, size_t limit) {
   PlanExplain ex;
-  Result<std::vector<SceneHit>> result =
-      SearchPlannedImpl(view, query, stats, ex, text_seed, similar_seed);
+  Result<std::vector<SceneHit>> result = SearchPlannedImpl(
+      view, query, stats, ex, text_seed, similar_seed, limit);
   if (explain != nullptr) *explain = std::move(ex);
   return result;
 }

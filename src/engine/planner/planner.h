@@ -18,10 +18,14 @@
 ///     meta-index's (video, event) index per surviving (player, video)
 ///     pair, where the fixed order scans the events table per pair;
 ///   * provably-empty modalities (dictionary miss, empty zone range, no
-///     indexed videos) short-circuit the whole plan.
-/// Results are bit-identical to the fixed order on every query, including
-/// error behavior: short-circuits still surface exactly the validation
-/// errors the fixed pipeline would have hit.
+///     indexed videos) short-circuit the whole plan;
+///   * a top-N `limit` is pushed into the final stage: answer scenes are
+///     collected as light candidates (scores, video, range, player), the
+///     first `limit` are ranked with a partial sort, and only those become
+///     SceneHits with their player name and event strings.
+/// Results are bit-identical to the fixed order (truncated to `limit`) on
+/// every query, including error behavior: short-circuits still surface
+/// exactly the validation errors the fixed pipeline would have hit.
 
 #include <map>
 #include <vector>
@@ -53,10 +57,14 @@ struct LibraryView {
 /// DigitalLibrary::SimilarSeed); when present and the query has a
 /// similar_to condition, the neighbor set is taken verbatim instead of
 /// probing the local (partition-scoped) ANN index.
+///
+/// `limit` > 0 returns only the first `limit` hits of the full answer
+/// under SceneHitLess (0 = every hit). The explain record's `hits` step
+/// still counts every candidate; a `top_n` step shows the cut.
 Result<std::vector<SceneHit>> SearchPlanned(
     const LibraryView& view, const CombinedQuery& query,
     text::SearchStats* stats, PlanExplain* explain,
     const std::map<int64_t, double>* text_seed = nullptr,
-    const SimilarSeed* similar_seed = nullptr);
+    const SimilarSeed* similar_seed = nullptr, size_t limit = 0);
 
 }  // namespace cobra::engine::planner

@@ -163,15 +163,16 @@ Result<std::vector<SceneHit>> QueryEngine::CachedEval(const std::string& key,
 
 Result<std::vector<SceneHit>> QueryEngine::Search(
     const CombinedQuery& query, const std::map<int64_t, double>* text_seed,
-    const SimilarSeed* similar_seed) {
+    const SimilarSeed* similar_seed, size_t limit) {
   std::string key = NormalizedKey(query);
+  AppendInt(static_cast<int64_t>(limit), &key);
   if (similar_seed != nullptr && query.similar_video >= 0) {
     AppendSimilarSeed(*similar_seed, &key);
   }
   return CachedEval(key, [&](text::SearchStats* stats) {
     planner::PlanExplain explain;
-    Result<std::vector<SceneHit>> result =
-        library_->Search(query, stats, &explain, text_seed, similar_seed);
+    Result<std::vector<SceneHit>> result = library_->Search(
+        query, stats, &explain, text_seed, similar_seed, limit);
     if (result.ok() && explain.used_planner) {
       planner_plans_.fetch_add(1, std::memory_order_relaxed);
       if (explain.short_circuited) {

@@ -86,10 +86,15 @@ class QueryEngine {
   /// and can change without this library's epoch moving (another shard
   /// republished), so a similar query's key also holds the seed's neighbor
   /// set.
+  ///
+  /// `limit` > 0 asks for the first `limit` hits only (0 = all), pushed
+  /// down into DigitalLibrary::Search. The limit is part of the cache key:
+  /// an entry holds at most `limit` hits and never answers a request with
+  /// a different limit.
   Result<std::vector<SceneHit>> Search(
       const CombinedQuery& query,
       const std::map<int64_t, double>* text_seed = nullptr,
-      const SimilarSeed* similar_seed = nullptr);
+      const SimilarSeed* similar_seed = nullptr, size_t limit = 0);
 
   /// Plans and executes `query` (bypassing the cache), returning the
   /// rendered plan: chosen stage order and estimated vs actual

@@ -518,9 +518,11 @@ Result<std::vector<SceneHit>> ServingFrontend::Search(
         }
       }
       if (!skip) {
+        // Each shard answers with its own top-N at most: the union of the
+        // per-shard top-N lists holds the global top-N.
         Result<std::vector<SceneHit>> result = snap->engine->Search(
             st->query, st->seed ? st->seed.get() : nullptr,
-            st->similar_seed ? st->similar_seed.get() : nullptr);
+            st->similar_seed ? st->similar_seed.get() : nullptr, st->top_n);
         std::lock_guard<std::mutex> lock(st->mu);
         ++st->searched;
         if (!result.ok()) {

@@ -4,11 +4,11 @@
 /// The sharded scatter-gather serving tier (DESIGN.md §4i).
 ///
 /// A ServingFrontend fans one combined query across N shard libraries
-/// (see partition.h for what a shard replicates vs partitions) and merges
-/// the per-shard sorted results into a global top-N under the shared
-/// SceneHitLess total order — so the merged answer is bit-identical to the
-/// unsharded DigitalLibrary::Search oracle truncated to N, for any shard
-/// count.
+/// (see partition.h for what a shard replicates vs partitions), asks each
+/// for its own top-N only, and merges the per-shard sorted results into a
+/// global top-N under the shared SceneHitLess total order — so the merged
+/// answer is bit-identical to the unsharded DigitalLibrary::Search oracle
+/// truncated to N, for any shard count.
 ///
 /// Work reduction, not parallelism, is where the speedup comes from:
 ///   * queries with no content (event) condition are answered entirely by
@@ -124,7 +124,10 @@ class ServingFrontend {
   ~ServingFrontend();
 
   /// The global top-`top_n` of `query` under SceneHitLess (top_n == 0 =
-  /// all hits). `deadline_ms` < 0 takes the config default; 0 disables.
+  /// all hits). `top_n` is pushed into every shard (QueryEngine::Search's
+  /// `limit`), so a shard builds, sorts and caches at most `top_n` hits;
+  /// the union of the shards' top-N lists holds the global top-N.
+  /// `deadline_ms` < 0 takes the config default; 0 disables.
   /// Errors: Unavailable when shed at admission; DeadlineExceeded is never
   /// returned — an expired deadline degrades to the partial merge with
   /// `qstats->degraded` set; any shard evaluation error is returned as-is.

@@ -155,11 +155,13 @@ const media::VideoSource& FeatureDetectorEngine::PrepareExecution(
   // Decode pipeline: a coded source is wrapped in a prefetching decorator
   // (backed by a dedicated decode pool — see prefetch.h for why it must not
   // share the wave pool), so detectors and the frame cache read from the
-  // GOP buffer. For the same video it persists across incremental runs.
+  // GOP buffer. For the same video it persists across incremental runs;
+  // "same" is the source's instance id, since a new source can reuse a
+  // freed one's address.
   const media::VideoSource* effective = &video;
   const auto* coded = dynamic_cast<const media::CodedVideoSource*>(&video);
   if (coded != nullptr && config_.decode_threads >= 0) {
-    if (prefetcher_ == nullptr || &prefetcher_->source() != coded) {
+    if (prefetcher_ == nullptr || prefetch_source_id_ != coded->instance_id()) {
       const int threads = config_.decode_threads > 0 ? config_.decode_threads
                                                      : config_.num_threads;
       prefetcher_.reset();  // joins in-flight tasks before the pool goes
@@ -168,6 +170,7 @@ const media::VideoSource& FeatureDetectorEngine::PrepareExecution(
       prefetch_config.prefetch_frames = config_.prefetch_frames;
       prefetcher_ = std::make_unique<media::PrefetchingVideoSource>(
           *coded, prefetch_config, decode_pool_.get());
+      prefetch_source_id_ = coded->instance_id();
     }
     effective = prefetcher_.get();
   } else {
@@ -181,11 +184,12 @@ const media::VideoSource& FeatureDetectorEngine::PrepareExecution(
   }
   // The cache is keyed by frame index, so it must be rebound whenever the
   // video changes; for the same video it persists across incremental runs.
-  if (cache_ == nullptr || &cache_->video() != effective) {
+  if (cache_ == nullptr || cache_source_id_ != effective->instance_id()) {
     vision::FrameFeatureCacheConfig cache_config;
     cache_config.cache_bytes = config_.cache_bytes;
     cache_ =
         std::make_unique<vision::FrameFeatureCache>(*effective, cache_config);
+    cache_source_id_ = effective->instance_id();
   }
   return *effective;
 }
@@ -193,6 +197,14 @@ const media::VideoSource& FeatureDetectorEngine::PrepareExecution(
 Result<FdeRunReport> FeatureDetectorEngine::RunWaves(
     const media::VideoSource& video, const std::set<std::string>& skip) {
   const media::VideoSource& source = PrepareExecution(video);
+  // Read-ahead decodes must not outlive the run: the caller may destroy
+  // the coded source as soon as Run returns.
+  struct QuiesceOnExit {
+    const media::PrefetchingVideoSource* prefetcher;
+    ~QuiesceOnExit() {
+      if (prefetcher != nullptr) prefetcher->WaitIdle();
+    }
+  } quiesce{prefetcher_.get()};
   DetectionContext ctx(source, &blackboard_, cache_.get(), pool_.get());
 
   FdeRunReport report;

@@ -183,7 +183,10 @@ class FeatureDetectorEngine {
   Status CheckComplete() const;
 
   /// Runs all detectors wave by wave over `video`, populating the
-  /// annotation blackboard from scratch.
+  /// annotation blackboard afresh. No decode work on `video` is left
+  /// running when Run returns, so `video` may be destroyed then, unless
+  /// frame_cache() is read afterwards (it reads through `video`). A later
+  /// source is told apart by VideoSource::instance_id, never by address.
   Result<FdeRunReport> Run(const media::VideoSource& video);
 
   /// Incremental run: reuses the previous run's annotations for symbols
@@ -231,10 +234,14 @@ class FeatureDetectorEngine {
 
   std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<vision::FrameFeatureCache> cache_;
+  /// VideoSource::instance_id of the source `cache_` is bound to.
+  uint64_t cache_source_id_ = 0;
   /// Decode pipeline state; the prefetcher must be declared after (and so
   /// destroyed before) the decode pool its in-flight tasks run on.
   std::unique_ptr<util::ThreadPool> decode_pool_;
   std::unique_ptr<media::PrefetchingVideoSource> prefetcher_;
+  /// VideoSource::instance_id of the coded source `prefetcher_` decodes.
+  uint64_t prefetch_source_id_ = 0;
 };
 
 }  // namespace cobra::grammar

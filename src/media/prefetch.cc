@@ -48,6 +48,18 @@ PrefetchStats PrefetchingVideoSource::stats() const {
   return stats_;
 }
 
+void PrefetchingVideoSource::WaitIdle() const {
+  std::unique_lock<std::mutex> lock(mutex_);
+  // Every decode, read-ahead or inline, publishes under mutex_ and wakes
+  // ready_cv_; in-flight slots are never evicted.
+  ready_cv_.wait(lock, [this]() {
+    for (const auto& [gop, slot] : slots_) {
+      if (slot->state == GopSlot::State::kInFlight) return false;
+    }
+    return true;
+  });
+}
+
 void PrefetchingVideoSource::PublishLocked(
     GopSlot* slot, Result<std::vector<Frame>> decoded) const {
   if (decoded.ok()) {

@@ -77,6 +77,11 @@ class PrefetchingVideoSource : public VideoSource {
   const CodedVideoSource& source() const { return source_; }
   PrefetchStats stats() const;
 
+  /// Blocks until no GOP decode is in flight. With no reader active, no
+  /// task then touches `source` until the next GetFrame, so the caller may
+  /// destroy the source (the decorator must then see no GetFrame again).
+  void WaitIdle() const;
+
  private:
   /// One GOP's decode slot in the buffer.
   struct GopSlot {

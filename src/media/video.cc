@@ -1,8 +1,15 @@
 #include "media/video.h"
 
+#include <atomic>
+
 #include "util/strings.h"
 
 namespace cobra::media {
+
+uint64_t VideoSource::NextInstanceId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 MemoryVideo::MemoryVideo(std::vector<Frame> frames, double fps)
     : frames_(std::move(frames)), fps_(fps) {

@@ -31,6 +31,26 @@ class VideoSource {
 
   /// Decodes frame `index` in [0, num_frames()).
   virtual Result<Frame> GetFrame(int64_t index) const = 0;
+
+  /// Process-unique id of this object, never reused. A source destroyed
+  /// and another constructed at the same address get different ids, so
+  /// state kept per source (the FDE's decode pipeline and frame-feature
+  /// cache) is rebound on an id change, not on an address change. Copies
+  /// and moves get a fresh id.
+  uint64_t instance_id() const { return instance_id_; }
+
+ protected:
+  VideoSource() : instance_id_(NextInstanceId()) {}
+  VideoSource(const VideoSource&) : instance_id_(NextInstanceId()) {}
+  VideoSource& operator=(const VideoSource&) {
+    instance_id_ = NextInstanceId();
+    return *this;
+  }
+
+ private:
+  static uint64_t NextInstanceId();
+
+  uint64_t instance_id_;
 };
 
 /// A video fully materialized in memory.

@@ -26,41 +26,64 @@ RectI BinaryMask::BoundingBox() const {
   return RectI{min_x, min_y, max_x - min_x + 1, max_y - min_y + 1};
 }
 
-BinaryMask BinaryMask::Erode() const {
-  BinaryMask out(width_, height_);
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) {
-      bool all = true;
-      for (int dy = -1; dy <= 1 && all; ++dy) {
-        for (int dx = -1; dx <= 1 && all; ++dx) {
-          int nx = x + dx, ny = y + dy;
-          if (nx < 0 || nx >= width_ || ny < 0 || ny >= height_ || !At(nx, ny)) {
-            all = false;
-          }
-        }
-      }
-      out.Set(x, y, all);
+namespace {
+
+/// 3x3 box morphology over a 0/1 byte raster as two separable 3-tap passes
+/// (rows, then columns): max for dilation, min for erosion. Pixels outside
+/// the raster count as 0, as in the 8-neighborhood definition, so erosion
+/// clears the border. Branch-free inner loops; the output is 0/1.
+template <bool kDilate>
+std::vector<uint8_t> Morph3x3(const std::vector<uint8_t>& in, size_t width,
+                              size_t height) {
+  auto op = [](uint8_t a, uint8_t b) -> uint8_t {
+    return kDilate ? std::max(a, b) : std::min(a, b);
+  };
+  std::vector<uint8_t> rows(in.size());
+  for (size_t y = 0; y < height; ++y) {
+    const uint8_t* src = in.data() + y * width;
+    uint8_t* dst = rows.data() + y * width;
+    if (width == 1) {
+      dst[0] = op(op(0, src[0]), 0);
+      continue;
+    }
+    dst[0] = op(op(0, src[0]), src[1]);
+    for (size_t x = 1; x + 1 < width; ++x) {
+      dst[x] = op(op(src[x - 1], src[x]), src[x + 1]);
+    }
+    dst[width - 1] = op(op(src[width - 2], src[width - 1]), 0);
+  }
+  std::vector<uint8_t> out(in.size());
+  const std::vector<uint8_t> zeros(width, 0);
+  for (size_t y = 0; y < height; ++y) {
+    const uint8_t* up = y > 0 ? rows.data() + (y - 1) * width : zeros.data();
+    const uint8_t* mid = rows.data() + y * width;
+    const uint8_t* down =
+        y + 1 < height ? rows.data() + (y + 1) * width : zeros.data();
+    uint8_t* dst = out.data() + y * width;
+    for (size_t x = 0; x < width; ++x) {
+      dst[x] = op(op(up[x], mid[x]), down[x]) != 0 ? 1 : 0;
     }
   }
   return out;
 }
 
+}  // namespace
+
+BinaryMask BinaryMask::Erode() const {
+  BinaryMask out;
+  out.width_ = width_;
+  out.height_ = height_;
+  out.bits_ = Morph3x3<false>(bits_, static_cast<size_t>(width_),
+                              static_cast<size_t>(height_));
+  return out;
+}
+
 BinaryMask BinaryMask::Dilate() const {
-  BinaryMask out(width_, height_);
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) {
-      bool any = false;
-      for (int dy = -1; dy <= 1 && !any; ++dy) {
-        for (int dx = -1; dx <= 1 && !any; ++dx) {
-          int nx = x + dx, ny = y + dy;
-          if (nx >= 0 && nx < width_ && ny >= 0 && ny < height_ && At(nx, ny)) {
-            any = true;
-          }
-        }
-      }
-      out.Set(x, y, any);
-    }
-  }
+  BinaryMask out;
+  out.width_ = width_;
+  out.height_ = height_;
+  out.bits_ = Morph3x3<true>(bits_, static_cast<size_t>(width_),
+                             static_cast<size_t>(height_));
   return out;
 }
 

@@ -4,12 +4,15 @@
 /// (including all-intra and a final partial GOP), thread-safety of
 /// CodedVideoSource::GetFrame under a hammering pool (the TSan regression
 /// for the old shared-DecoderState race), DCT dispatch-tier bit-identity,
-/// and FDE-over-coded-source equivalence with FDE-over-decoded-frames.
+/// FDE-over-coded-source equivalence with FDE-over-decoded-frames, and the
+/// FDE rebinding its decode pipeline when a new source reuses a freed
+/// source's address.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
+#include <new>
 #include <vector>
 
 #include "core/tennis_fde.h"
@@ -344,6 +347,69 @@ TEST(DecodePipelineTest, FdeOverCodedSourceMatchesDecodedFrames) {
       }
     }
   }
+}
+
+TEST(DecodePipelineTest, FdeRebindsWhenNewSourceReusesFreedAddress) {
+  // Two different broadcasts of the same size.
+  TennisSynthConfig other_config = PipelineVideoConfig();
+  other_config.seed = 11;
+  auto other = TennisBroadcastSynthesizer(other_config).Synthesize();
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  auto encoded_a = BlockVideoEncoder::Encode(PipelineVideo(), CodecConfig{});
+  auto encoded_b = BlockVideoEncoder::Encode(*other.value().video, CodecConfig{});
+  ASSERT_TRUE(encoded_a.ok() && encoded_b.ok());
+
+  core::TennisIndexerConfig config;
+  config.fde.num_threads = 2;
+  config.fde.decode_threads = 2;
+  config.fde.prefetch_frames = 48;
+
+  // Reference: a fresh engine over a fresh source of video B.
+  CodedVideoSource fresh_b(encoded_b.value());
+  auto fresh = core::TennisVideoIndexer::Create(config).TakeValue();
+  ASSERT_TRUE(fresh->Index(fresh_b, 2, "b").ok());
+  const auto reference = fresh->fde().blackboard();
+  ASSERT_FALSE(reference.empty());
+
+  // One engine indexes A, then B constructed in A's storage after A is
+  // destroyed: same address, different video.
+  alignas(CodedVideoSource) unsigned char storage[sizeof(CodedVideoSource)];
+  auto* a = new (storage) CodedVideoSource(encoded_a.value());
+  const uint64_t id_a = a->instance_id();
+  auto indexer = core::TennisVideoIndexer::Create(config).TakeValue();
+  ASSERT_TRUE(indexer->Index(*a, 1, "a").ok());
+  a->~CodedVideoSource();
+  auto* b = new (storage) CodedVideoSource(encoded_b.value());
+  EXPECT_EQ(static_cast<void*>(a), static_cast<void*>(b));
+  EXPECT_NE(id_a, b->instance_id());
+  auto desc = indexer->Index(*b, 2, "b");
+  ASSERT_TRUE(desc.ok()) << desc.status().ToString();
+  const auto got_board = indexer->fde().blackboard();
+  b->~CodedVideoSource();
+
+  ASSERT_EQ(got_board.size(), reference.size());
+  for (const auto& [symbol, annotations] : reference) {
+    const auto& got = got_board.at(symbol);
+    ASSERT_EQ(got.size(), annotations.size()) << symbol;
+    for (size_t i = 0; i < annotations.size(); ++i) {
+      EXPECT_EQ(got[i].range, annotations[i].range) << symbol;
+      EXPECT_EQ(got[i].attrs, annotations[i].attrs) << symbol << " #" << i;
+    }
+  }
+}
+
+TEST(DecodePipelineTest, VideoSourceCopiesGetFreshInstanceIds) {
+  MemoryVideo original = PipelineVideo();
+  MemoryVideo copy = original;
+  MemoryVideo moved = std::move(copy);
+  EXPECT_NE(original.instance_id(), PipelineVideo().instance_id());
+  EXPECT_NE(copy.instance_id(), original.instance_id());
+  EXPECT_NE(moved.instance_id(), copy.instance_id());
+  EXPECT_NE(moved.instance_id(), original.instance_id());
+  const uint64_t before = original.instance_id();
+  original = moved;
+  EXPECT_NE(original.instance_id(), before);
+  EXPECT_NE(original.instance_id(), moved.instance_id());
 }
 
 }  // namespace

@@ -8,6 +8,9 @@
 ///   * the planner-vs-SearchFixedOrder equivalence property sweep over all
 ///     2^4 modality combinations, randomized selectivities, and degenerate
 ///     corpora — results and errors must be identical;
+///   * the top-N limit: on every shard of 1, 2 and 7 range shards, the
+///     planner's top-`limit` equals the shard's fixed-order answer
+///     truncated, errors included, and the explain record shows the cut;
 ///   * a concurrent QueryEngine variant (tsan-labeled in CMake).
 
 #include <gtest/gtest.h>
@@ -23,6 +26,7 @@
 
 #include "engine/digital_library.h"
 #include "engine/query_engine.h"
+#include "engine/serving/partition.h"
 #include "storage/ops.h"
 #include "storage/stats.h"
 #include "storage/table.h"
@@ -674,6 +678,106 @@ TEST(PlannerTest, ExplainReportsShortCircuitAndSteps) {
     executed_step = executed_step || step.actual_rows >= 0;
   }
   EXPECT_TRUE(executed_step) << full_explain.ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Top-N limit pushdown.
+
+/// The shared fixture's corpus as partitionable parts (same site config,
+/// same synthetic event tables).
+serving::CorpusParts PlannerParts() {
+  webspace::SiteConfig config;
+  config.num_players = 40;
+  config.num_past_years = 4;
+  config.videos_per_year = 2;
+  config.seed = 99;
+  config.ensure_answer = true;
+  auto site = webspace::SiteSynthesizer::Generate(config).TakeValue();
+  serving::CorpusParts parts{std::move(site.store), {}, {}, {}};
+  for (const auto& [oid, text] : site.interview_texts) {
+    parts.interviews.emplace_back(oid, text);
+  }
+  const char* names[] = {"net_play", "rally", "service", "smash"};
+  Rng rng(4242);
+  for (int64_t video_oid : site.video_oids) {
+    core::VideoDescription desc(video_oid, "synthetic", 25.0, 40000);
+    for (int e = 0; e < 30; ++e) {
+      const int64_t begin = rng.NextInt(0, 39000);
+      desc.Add(core::CobraLayer::kEvent,
+               grammar::Annotation(names[rng.NextBounded(4)],
+                                   {begin, begin + rng.NextInt(10, 900)})
+                   .Set("player", rng.NextInt(-1, 1)));
+    }
+    parts.videos.push_back(std::move(desc));
+  }
+  return parts;
+}
+
+TEST(PlannerTopNTest, LimitMatchesTruncatedFixedOrderOnEveryShard) {
+  const serving::CorpusParts parts = PlannerParts();
+  Rng rng(23);
+  std::vector<CombinedQuery> queries;
+  for (int combo = 0; combo < 16; ++combo) {
+    for (int variant = 0; variant < 4; ++variant) {
+      queries.push_back(RandomQuery(&rng, combo));
+    }
+  }
+  size_t cuts = 0;  // answers the limit actually shortened
+  for (size_t num_shards : {1u, 2u, 7u}) {
+    auto shards = serving::BuildShardLibraries(parts, num_shards).TakeValue();
+    for (size_t s = 0; s < shards.size(); ++s) {
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        const auto fixed = shards[s]->SearchFixedOrder(queries[qi]);
+        for (size_t limit : {size_t{1}, size_t{3}, size_t{10}, size_t{0}}) {
+          const std::string label =
+              "shards=" + std::to_string(num_shards) + " shard=" +
+              std::to_string(s) + " query=" + std::to_string(qi) +
+              " limit=" + std::to_string(limit);
+          planner::PlanExplain explain;
+          const auto planned = shards[s]->Search(
+              queries[qi], nullptr, &explain, nullptr, nullptr, limit);
+          ASSERT_EQ(fixed.ok(), planned.ok()) << label;
+          if (!fixed.ok()) {
+            EXPECT_EQ(fixed.status().ToString(), planned.status().ToString())
+                << label;
+            continue;
+          }
+          const size_t want =
+              limit > 0 ? std::min(limit, fixed->size()) : fixed->size();
+          ASSERT_EQ(planned->size(), want) << label;
+          if (want < fixed->size()) ++cuts;
+          for (size_t i = 0; i < want; ++i) {
+            const SceneHit& a = (*fixed)[i];
+            const SceneHit& b = (*planned)[i];
+            EXPECT_EQ(a.player_oid, b.player_oid) << label << " hit " << i;
+            EXPECT_EQ(a.player_name, b.player_name) << label << " hit " << i;
+            EXPECT_EQ(a.video_oid, b.video_oid) << label << " hit " << i;
+            EXPECT_EQ(a.range, b.range) << label << " hit " << i;
+            EXPECT_EQ(a.event, b.event) << label << " hit " << i;
+            EXPECT_EQ(0, std::memcmp(&a.text_score, &b.text_score, 8))
+                << label << " hit " << i;
+            EXPECT_EQ(0, std::memcmp(&a.similarity, &b.similarity, 8))
+                << label << " hit " << i;
+          }
+          if (!explain.used_planner || explain.short_circuited) continue;
+          // "hits" counts every candidate; "top_n" shows the cut.
+          const auto& steps = explain.steps;
+          ASSERT_GE(steps.size(), limit > 0 ? 2u : 1u) << label;
+          const planner::PlanStep& hits =
+              steps[steps.size() - (limit > 0 ? 2 : 1)];
+          EXPECT_EQ(hits.name, "hits") << label;
+          EXPECT_EQ(hits.actual_rows, static_cast<int64_t>(fixed->size()))
+              << label;
+          if (limit > 0) {
+            EXPECT_EQ(steps.back().name.rfind("top_n", 0), 0u) << label;
+            EXPECT_EQ(steps.back().actual_rows, static_cast<int64_t>(want))
+                << label;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(cuts, 100u);  // the sweep must exercise real cuts
 }
 
 // ---------------------------------------------------------------------------

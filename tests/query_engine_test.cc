@@ -18,9 +18,9 @@ using storage::Predicate;
 /// A text+concept library (no rendered videos — fast to build). Event
 /// queries are irrelevant here; the query-engine tests exercise caching,
 /// epochs and concurrency, not scene retrieval.
-std::unique_ptr<DigitalLibrary> MakeLibrary() {
+std::unique_ptr<DigitalLibrary> MakeLibrary(int num_players = 10) {
   webspace::SiteConfig config;
-  config.num_players = 10;
+  config.num_players = num_players;
   config.num_past_years = 3;
   config.videos_per_year = 1;
   config.seed = 5;
@@ -192,6 +192,41 @@ TEST(QueryEngineTest, KeywordOnlyGoesThroughCache) {
   // Different top_k is a different key.
   engine.SearchKeywordOnly("champion title", 5).TakeValue();
   EXPECT_EQ(engine.stats().cache_misses, 2);
+}
+
+TEST(QueryEngineTest, LimitIsPartOfTheCacheKey) {
+  auto library = MakeLibrary(/*num_players=*/30);
+  QueryEngine engine(library.get(), QueryEngineConfig{});
+  const CombinedQuery query;  // no condition: every player is a hit
+  const auto oracle = library->SearchFixedOrder(query).TakeValue();
+  ASSERT_GT(oracle.size(), 10u);
+
+  auto top10 = engine.Search(query, nullptr, nullptr, 10).TakeValue();
+  auto all = engine.Search(query, nullptr, nullptr, 0).TakeValue();
+  // Two entries: the top-10 entry did not answer the unbounded request.
+  EXPECT_EQ(engine.stats().cache_misses, 2);
+  EXPECT_EQ(engine.stats().cache_hits, 0);
+  ASSERT_EQ(top10.size(), 10u);
+  ASSERT_EQ(all.size(), oracle.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].player_oid, oracle[i].player_oid) << i;
+    EXPECT_EQ(all[i].player_name, oracle[i].player_name) << i;
+    if (i < top10.size()) {
+      EXPECT_EQ(top10[i].player_oid, oracle[i].player_oid) << i;
+      EXPECT_EQ(top10[i].player_name, oracle[i].player_name) << i;
+    }
+  }
+
+  // Each entry serves its own limit only, in either order.
+  EXPECT_EQ(engine.Search(query, nullptr, nullptr, 0).TakeValue().size(),
+            oracle.size());
+  EXPECT_EQ(engine.Search(query, nullptr, nullptr, 10).TakeValue().size(),
+            10u);
+  EXPECT_EQ(engine.stats().cache_misses, 2);
+  EXPECT_EQ(engine.stats().cache_hits, 2);
+  // The default is unbounded and shares the limit-0 entry.
+  EXPECT_EQ(engine.Search(query).TakeValue().size(), oracle.size());
+  EXPECT_EQ(engine.stats().cache_hits, 3);
 }
 
 // ---------- Concurrency (tsan-labeled binary) ----------

@@ -1,7 +1,9 @@
 /// \file serving_test.cc
 /// The sharded scatter-gather serving tier (DESIGN.md §4i):
 ///   * shard-count invariance: 1, 2 and 7 shards answer the 16-modality
-///     sweep bit-identically to the unsharded oracle at every top-N;
+///     sweep bit-identically to the unsharded fixed-order oracle truncated
+///     to every top-N, errors included, and so does a QueryEngine asked
+///     for the same limit; ties straddling the Nth hit cut identically;
 ///   * the frontend text seed never changes results (seeded vs unseeded
 ///     evaluation on one library, planner on and off);
 ///   * bound-based shard pruning happens and never changes results;
@@ -50,7 +52,25 @@ core::VideoDescription MakeVideo(int64_t oid) {
   return desc;
 }
 
-CorpusParts MakeParts(int num_players = 24, int videos_per_year = 2) {
+/// Tie-heavy video: every event shares one of three ranges, so many hits
+/// tie on every field but the player (and some on every field).
+core::VideoDescription MakeTiedVideo(int64_t oid) {
+  const char* events[] = {"net_play", "rally"};
+  const FrameInterval ranges[] = {{100, 200}, {100, 200}, {100, 250}};
+  Rng rng(static_cast<uint64_t>(oid) * 31 + 7);
+  core::VideoDescription desc(oid, "tied", 25.0, 40000);
+  for (int e = 0; e < 12; ++e) {
+    desc.Add(core::CobraLayer::kEvent,
+             grammar::Annotation(events[rng.NextBounded(2)],
+                                 ranges[rng.NextBounded(3)])
+                 .Set("player", rng.NextInt(-1, 1)));
+  }
+  return desc;
+}
+
+CorpusParts MakeParts(int num_players = 24, int videos_per_year = 2,
+                      core::VideoDescription (*make_video)(int64_t) =
+                          MakeVideo) {
   webspace::SiteConfig config;
   config.num_players = num_players;
   config.num_past_years = 4;
@@ -63,7 +83,7 @@ CorpusParts MakeParts(int num_players = 24, int videos_per_year = 2) {
     parts.interviews.emplace_back(oid, body);
   }
   for (int64_t oid : site.video_oids) {
-    parts.videos.push_back(MakeVideo(oid));
+    parts.videos.push_back(make_video(oid));
   }
   return parts;
 }
@@ -135,12 +155,31 @@ void ExpectBitIdentical(const std::vector<SceneHit>& expected,
     std::memcpy(&bits_a, &a.text_score, 8);
     std::memcpy(&bits_b, &b.text_score, 8);
     EXPECT_EQ(bits_a, bits_b) << label << " hit " << i;
+    std::memcpy(&bits_a, &a.similarity, 8);
+    std::memcpy(&bits_b, &b.similarity, 8);
+    EXPECT_EQ(bits_a, bits_b) << label << " hit " << i;
   }
 }
 
 std::vector<SceneHit> Truncate(std::vector<SceneHit> hits, size_t top_n) {
   if (top_n > 0 && hits.size() > top_n) hits.resize(top_n);
   return hits;
+}
+
+/// `actual` must equal the oracle's answer truncated to `top_n`, bit for
+/// bit, or fail with the oracle's exact status.
+void ExpectTruncatedAnswer(const Result<std::vector<SceneHit>>& oracle,
+                           const Result<std::vector<SceneHit>>& actual,
+                           size_t top_n, const std::string& label) {
+  ASSERT_EQ(oracle.ok(), actual.ok())
+      << label << " " << oracle.status().ToString() << " vs "
+      << actual.status().ToString();
+  if (!oracle.ok()) {
+    EXPECT_EQ(oracle.status().ToString(), actual.status().ToString())
+        << label;
+    return;
+  }
+  ExpectBitIdentical(Truncate(*oracle, top_n), *actual, label);
 }
 
 std::vector<const DigitalLibrary*> Views(
@@ -175,28 +214,39 @@ TEST(ServingFrontendTest, ShardCountInvarianceProperty) {
   const CorpusParts parts = MakeParts();
   auto oracle = BuildLibrary(parts).TakeValue();
   const auto queries = SweepQueries();
+  std::vector<Result<std::vector<SceneHit>>> expected;
+  for (const CombinedQuery& query : queries) {
+    expected.push_back(oracle->SearchFixedOrder(query));
+  }
+  // The unsharded engine with the limit pushed down, cache on: the second
+  // pass over the sweep is answered from entries keyed by limit.
+  QueryEngine engine(oracle.get(), QueryEngineConfig{});
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      for (size_t top_n : {size_t{1}, size_t{3}, size_t{10}, size_t{0}}) {
+        ExpectTruncatedAnswer(
+            expected[qi], engine.Search(queries[qi], nullptr, nullptr, top_n),
+            top_n,
+            "engine query=" + std::to_string(qi) +
+                " n=" + std::to_string(top_n));
+      }
+    }
+  }
+  EXPECT_GT(engine.stats().cache_hits, 0);
   for (size_t num_shards : {1u, 2u, 7u}) {
     auto shards = BuildShardLibraries(parts, num_shards).TakeValue();
     ServingConfig config;
     config.replicas = 2;
     auto frontend = ServingFrontend::Create(Views(shards), config).TakeValue();
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      for (size_t top_n : {size_t{3}, size_t{10}, size_t{0}}) {
-        auto expected = oracle->Search(queries[qi]);
+      for (size_t top_n : {size_t{1}, size_t{3}, size_t{10}, size_t{0}}) {
         QueryStats qs;
         auto actual = frontend->Search(queries[qi], top_n, &qs);
         const std::string label = "shards=" + std::to_string(num_shards) +
                                   " query=" + std::to_string(qi) +
                                   " n=" + std::to_string(top_n);
-        ASSERT_EQ(expected.ok(), actual.ok())
-            << label << " " << expected.status().ToString() << " vs "
-            << actual.status().ToString();
-        if (!expected.ok()) {
-          EXPECT_EQ(expected.status().ToString(), actual.status().ToString())
-              << label;
-          continue;
-        }
-        ExpectBitIdentical(Truncate(*expected, top_n), *actual, label);
+        ExpectTruncatedAnswer(expected[qi], actual, top_n, label);
+        if (!actual.ok()) continue;
         EXPECT_FALSE(qs.degraded) << label;
         if (queries[qi].event.empty()) {
           EXPECT_TRUE(qs.single_shard_routed) << label;
@@ -211,6 +261,56 @@ TEST(ServingFrontendTest, ShardCountInvarianceProperty) {
       // Single-shard routing and upfront pruning must actually engage.
       EXPECT_GT(stats.single_shard_routed, 0);
       EXPECT_GT(stats.shards_pruned_upfront, 0);
+    }
+  }
+}
+
+TEST(ServingFrontendTest, TopNCutThroughTiesMatchesFixedOrder) {
+  const CorpusParts parts = MakeParts(/*num_players=*/24,
+                                      /*videos_per_year=*/2, MakeTiedVideo);
+  auto oracle = BuildLibrary(parts).TakeValue();
+  std::vector<CombinedQuery> queries(3);
+  queries[0].event = "rally";  // every hit scores 0 with no similarity
+  queries[1].event = "net_play";
+  queries[1].player_predicates.push_back(
+      {"gender", CompareOp::kEq, std::string("female")});
+  queries[2].event = "rally";
+  queries[2].text = "champion title";
+  queries[2].text_top_k = 40;
+  for (size_t num_shards : {1u, 2u, 7u}) {
+    auto shards = BuildShardLibraries(parts, num_shards).TakeValue();
+    auto frontend =
+        ServingFrontend::Create(Views(shards), ServingConfig{}).TakeValue();
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const auto expected = oracle->SearchFixedOrder(queries[qi]);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      ASSERT_GT(expected->size(), 4u) << "query " << qi;
+      // Some cut must land inside a run of hits tied on score, similarity,
+      // video and range (only the player oid, or nothing, tells them apart).
+      bool straddles = false;
+      for (size_t top_n = 1; top_n <= expected->size() + 1; ++top_n) {
+        if (top_n < expected->size()) {
+          const SceneHit& a = (*expected)[top_n - 1];
+          const SceneHit& b = (*expected)[top_n];
+          straddles = straddles ||
+                      (a.text_score == b.text_score &&
+                       a.similarity == b.similarity &&
+                       a.video_oid == b.video_oid && a.range == b.range);
+        }
+        const std::string label = "shards=" + std::to_string(num_shards) +
+                                  " query=" + std::to_string(qi) +
+                                  " n=" + std::to_string(top_n);
+        ExpectTruncatedAnswer(expected, frontend->Search(queries[qi], top_n),
+                              top_n, label);
+        if (num_shards == 1) {
+          ExpectTruncatedAnswer(
+              expected,
+              oracle->Search(queries[qi], nullptr, nullptr, nullptr, nullptr,
+                             top_n),
+              top_n, "library " + label);
+        }
+      }
+      EXPECT_TRUE(straddles) << "query " << qi;
     }
   }
 }

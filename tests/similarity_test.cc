@@ -455,6 +455,15 @@ TEST(SimilarSearchTest, PlannerMatchesFixedOrderOnSimilarQueries) {
       continue;
     }
     ExpectSameHits(*fixed, *planned, label);
+    // The top-N limit cuts the same order (ties included).
+    for (size_t limit : {size_t{1}, size_t{3}, size_t{10}}) {
+      auto top = fixture.library->Search(queries[qi], nullptr, nullptr,
+                                         nullptr, nullptr, limit);
+      ASSERT_TRUE(top.ok()) << label;
+      std::vector<SceneHit> want = *fixed;
+      if (want.size() > limit) want.resize(limit);
+      ExpectSameHits(want, *top, label + " limit " + std::to_string(limit));
+    }
     if (!fixed->empty()) ++non_empty;
     for (const SceneHit& hit : *fixed) {
       EXPECT_GE(hit.similarity, 0.0) << label;  // similar queries carry keys

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
+#include "util/crc32.h"
 #include "util/geometry.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -91,6 +93,36 @@ TEST(ResultTest, AssignOrReturnPropagates) {
 }
 
 // ---------- Rng ----------
+
+/// The bytewise definition the sliced implementation must reproduce.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t size, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBytewiseDefinition) {
+  EXPECT_EQ(util::Crc32("123456789", 9), 0xCBF43926u);  // the check value
+  EXPECT_EQ(util::Crc32(nullptr, 0), 0u);
+  Rng rng(11);
+  std::vector<uint8_t> buf(300);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextBounded(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; offset + size <= 80; ++size) {
+      const uint32_t seed = rng.NextBounded(2) == 0 ? 0u : 0x12345678u;
+      EXPECT_EQ(util::Crc32(buf.data() + offset, size, seed),
+                ReferenceCrc32(buf.data() + offset, size, seed))
+          << "offset " << offset << " size " << size;
+    }
+  }
+  // Chaining: two calls seeded with the first's result equal one call.
+  const uint32_t head = util::Crc32(buf.data(), 123);
+  EXPECT_EQ(util::Crc32(buf.data() + 123, buf.size() - 123, head),
+            util::Crc32(buf.data(), buf.size()));
+}
 
 TEST(RngTest, DeterministicForSeed) {
   Rng a(123), b(123);

@@ -8,6 +8,7 @@
 #include "vision/histogram.h"
 #include "vision/mask.h"
 #include "vision/moments.h"
+#include "util/rng.h"
 
 namespace cobra::vision {
 namespace {
@@ -158,6 +159,61 @@ TEST(MaskTest, DilateGrows) {
   BinaryMask m(10, 10);
   m.Set(5, 5, true);
   EXPECT_EQ(m.Dilate().Count(), 9);
+}
+
+/// The 8-neighborhood definition, pixel by pixel: erosion needs every
+/// neighbor set and in bounds, dilation any neighbor set.
+BinaryMask ReferenceMorph(const BinaryMask& m, bool dilate) {
+  BinaryMask out(m.width(), m.height());
+  for (int y = 0; y < m.height(); ++y) {
+    for (int x = 0; x < m.width(); ++x) {
+      bool any = false, all = true;
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          const int nx = x + dx, ny = y + dy;
+          const bool set = nx >= 0 && nx < m.width() && ny >= 0 &&
+                           ny < m.height() && m.At(nx, ny);
+          any = any || set;
+          all = all && set;
+        }
+      }
+      out.Set(x, y, dilate ? any : all);
+    }
+  }
+  return out;
+}
+
+TEST(MaskTest, MorphologyMatchesNeighborhoodDefinition) {
+  Rng rng(77);
+  const int sizes[][2] = {{1, 1}, {1, 7}, {7, 1}, {2, 2}, {3, 5},
+                          {17, 9}, {128, 96}};
+  for (const auto& size : sizes) {
+    for (int density = 1; density <= 9; density += 4) {
+      BinaryMask m(size[0], size[1]);
+      for (int y = 0; y < m.height(); ++y) {
+        for (int x = 0; x < m.width(); ++x) {
+          m.Set(x, y, static_cast<int>(rng.NextBounded(10)) < density);
+        }
+      }
+      for (bool dilate : {false, true}) {
+        const BinaryMask want = ReferenceMorph(m, dilate);
+        const BinaryMask got = dilate ? m.Dilate() : m.Erode();
+        ASSERT_EQ(got.width(), want.width());
+        ASSERT_EQ(got.height(), want.height());
+        EXPECT_EQ(got.Count(), want.Count());
+        for (int y = 0; y < m.height(); ++y) {
+          for (int x = 0; x < m.width(); ++x) {
+            ASSERT_EQ(got.At(x, y), want.At(x, y))
+                << size[0] << "x" << size[1] << " density " << density
+                << (dilate ? " dilate" : " erode") << " at " << x << ","
+                << y;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(BinaryMask().Dilate().Empty());
+  EXPECT_TRUE(BinaryMask().Erode().Empty());
 }
 
 TEST(ComponentsTest, FindsSeparateBlobs) {
