@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cstring>
 
 #include "bench_util.h"
 #include "detectors/compressed_shot_boundary.h"
@@ -89,11 +90,26 @@ void RunComparison() {
   bench::PrintRule();
 }
 
+bool SameFrames(const media::MemoryVideo& a, const media::MemoryVideo& b) {
+  if (a.num_frames() != b.num_frames()) return false;
+  for (int64_t f = 0; f < a.num_frames(); ++f) {
+    const media::Frame fa = a.GetFrame(f).TakeValue();
+    const media::Frame fb = b.GetFrame(f).TakeValue();
+    if (!fa.SameSizeAs(fb) ||
+        std::memcmp(fa.pixels().data(), fb.pixels().data(),
+                    fa.pixels().size() * sizeof(media::Rgb)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// GOP-parallel full decode: every I-frame is a random-access point, so
 /// independent GOPs decode concurrently on a thread pool. Frames are
 /// bit-identical to the sequential scan (the tier-1 property tests assert
-/// it); this table reports the wall-time side of that trade.
-void RunGopParallelDecode() {
+/// it); this table reports the wall-time side of that trade. Returns false
+/// when the decoded frames differ between the scalar and the active tier.
+bool RunGopParallelDecode() {
   bench::PrintHeader("E9", "GOP-parallel decode (DecodeAll)");
   auto broadcast =
       media::TennisBroadcastSynthesizer(bench::DefaultBroadcast()).Synthesize()
@@ -106,8 +122,8 @@ void RunGopParallelDecode() {
               util::simd::SimdLevelName(util::simd::CpuBestLevel()));
   std::printf("%-24s %12s\n", "configuration", "wall ms");
 
-  util::simd::SetForcedLevel(0);  // the seed decoder's (scalar) DCT tier
-  source.DecodeAll().TakeValue();  // warm-up
+  util::simd::SetForcedLevel(0);  // the scalar decode kernels
+  const media::MemoryVideo scalar_frames = source.DecodeAll().TakeValue();
   bench::WallTimer scalar_timer;
   source.DecodeAll().TakeValue();
   double scalar_ms = scalar_timer.Millis();
@@ -116,7 +132,9 @@ void RunGopParallelDecode() {
   bench::PrintJsonMetric("e9_compressed_domain",
                          "decode_all_wall_ms_seq_scalar", scalar_ms);
 
-  source.DecodeAll().TakeValue();  // warm-up
+  const bool identical =
+      SameFrames(scalar_frames, source.DecodeAll().TakeValue());  // + warm-up
+  std::printf("frames identical across tiers: %s\n", identical ? "yes" : "NO");
   bench::WallTimer timer;
   source.DecodeAll().TakeValue();
   double seq_ms = timer.Millis();
@@ -140,6 +158,7 @@ void RunGopParallelDecode() {
   bench::PrintJsonMetric("e9_compressed_domain", "decode_all_speedup_4t",
                          speedup);
   bench::PrintRule();
+  return identical;
 }
 
 void BM_Encode(benchmark::State& state) {
@@ -219,8 +238,8 @@ BENCHMARK(BM_CompressedDetect)->Unit(benchmark::kMicrosecond);
 int main(int argc, char** argv) {
   bench::OpenJsonArtifact("BENCH_E9.json");
   RunComparison();
-  RunGopParallelDecode();
+  const bool identical = RunGopParallelDecode();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return identical ? 0 : 1;
 }

@@ -50,6 +50,9 @@ Result<std::unique_ptr<DigitalLibrary>> DigitalLibrary::CreateFromParts(
   library->meta_index_ = std::move(meta_index);
   library->indexed_videos_ = std::move(indexed_videos);
   library->index_epoch_ = index_epoch;
+  size_t total = 0;
+  for (const auto& chunk : signature_chunks) total += chunk.second;
+  library->signatures_.ReserveRows(total);
   for (const auto& [records, count] : signature_chunks) {
     library->signatures_.AddBaseChunk(records, count);
   }

@@ -130,7 +130,7 @@ SignatureIndex::SignatureIndex(SignatureIndexConfig config) {
 Status SignatureIndex::SetConfig(const SignatureIndexConfig& config) {
   COBRA_RETURN_NOT_OK(ValidateConfig(config));
   config_ = config;
-  RebuildTables();
+  RebuildTables(num_records_ + 1);
   return Status::OK();
 }
 
@@ -138,8 +138,16 @@ const vision::SignatureRecord& SignatureIndex::record(size_t i) const {
   return *rows_[i];
 }
 
+void SignatureIndex::ReserveRows(size_t rows) {
+  // Grow every band table together when load would pass ~50%.
+  if (bands_.empty() || bands_[0].slots.size() < rows * 2) {
+    RebuildTables(rows);
+  }
+}
+
 void SignatureIndex::AddRecords(const vision::SignatureRecord* records,
                                 size_t count) {
+  ReserveRows(num_records_ + count);
   for (size_t i = 0; i < count; ++i) {
     // A fresh fixed-capacity chunk keeps prior record pointers stable
     // (vectors are reserved up front and never reallocated). A new chunk
@@ -163,6 +171,7 @@ void SignatureIndex::AddRecords(const vision::SignatureRecord* records,
 void SignatureIndex::AddBaseChunk(const vision::SignatureRecord* records,
                                   size_t count) {
   if (count == 0) return;
+  ReserveRows(num_records_ + count);
   chunks_.push_back(Chunk{records, count, num_records_, /*is_base=*/true});
   for (size_t i = 0; i < count; ++i) {
     rows_.push_back(records + i);
@@ -212,11 +221,6 @@ int32_t SignatureIndex::FindChain(const BandTable& table, int band,
 }
 
 void SignatureIndex::InsertIntoBands(size_t row) {
-  // Grow every band table together when load passes ~50%.
-  const size_t needed = (row + 1) * 2;
-  if (bands_.empty() || bands_[0].slots.size() < needed) {
-    RebuildTables();  // rebuild resizes and reinserts rows [0, num_records_)
-  }
   uint64_t masked[4];
   MaskHash(rows_[row]->sig.hash, config_.signature_bits, masked);
   hash4_.insert(hash4_.end(), masked, masked + 4);
@@ -247,9 +251,9 @@ void SignatureIndex::InsertIntoBands(size_t row) {
   }
 }
 
-void SignatureIndex::RebuildTables() {
+void SignatureIndex::RebuildTables(size_t capacity_rows) {
   size_t cap = 64;
-  while (cap < (num_records_ + 1) * 4) cap <<= 1;
+  while (cap < capacity_rows * 4) cap <<= 1;
   bands_.assign(static_cast<size_t>(config_.ann_bands), BandTable{});
   for (BandTable& table : bands_) {
     table.slots.assign(cap, Slot{});
@@ -259,7 +263,7 @@ void SignatureIndex::RebuildTables() {
     table.mask = static_cast<uint32_t>(cap - 1);
   }
   hash4_.clear();
-  hash4_.reserve((num_records_ + 1) * 4);
+  hash4_.reserve(capacity_rows * 4);
   for (size_t row = 0; row < num_records_; ++row) {
     uint64_t masked[4];
     MaskHash(rows_[row]->sig.hash, config_.signature_bits, masked);

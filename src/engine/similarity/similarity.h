@@ -104,6 +104,12 @@ class SignatureIndex {
   /// the index (mmap'd segment sections do — the reader is retained).
   void AddBaseChunk(const vision::SignatureRecord* records, size_t count);
 
+  /// Sizes the band tables for `rows` records in all (rebuilding them at
+  /// most once) so that adding up to that many inserts without regrowth.
+  /// The adds reserve their own batch; a caller adding several batches
+  /// reserves their total first. Results do not depend on reservations.
+  void ReserveRows(size_t rows);
+
   size_t num_records() const { return num_records_; }
   const vision::SignatureRecord& record(size_t i) const;
 
@@ -180,8 +186,11 @@ class SignatureIndex {
   /// atomic and this runs once per candidate).
   uint32_t HashDistance(const vision::signature_kernels::SignatureKernelOps& ops,
                         const uint64_t* masked_query, size_t i) const;
+  /// Inserts row `row` (< the reserved capacity) into every band table.
   void InsertIntoBands(size_t row);
-  void RebuildTables();
+  /// Resizes the tables for `capacity_rows` records (at most 25% load) and
+  /// reinserts rows [0, num_records_).
+  void RebuildTables(size_t capacity_rows);
   /// Chain head slot for `key` in `table`, or -1 if the key is absent.
   int32_t FindChain(const BandTable& table, int band, uint64_t key) const;
   /// Pushes record i (if within threshold) onto the top-k heap.

@@ -20,11 +20,17 @@ struct Plane {
   int height = 0;
   std::vector<int16_t> samples;
 
+  /// Does not clear: a plane of unchanged size keeps its buffer and stale
+  /// samples, so callers overwrite every sample.
   void Resize(int w, int h) {
     width = w;
     height = h;
-    samples.assign(static_cast<size_t>(w) * h, 0);
+    samples.resize(static_cast<size_t>(w) * h);
   }
+  const int16_t* Row(int y) const {
+    return samples.data() + static_cast<size_t>(y) * width;
+  }
+  int16_t* Row(int y) { return samples.data() + static_cast<size_t>(y) * width; }
   int16_t At(int x, int y) const {
     return samples[static_cast<size_t>(y) * width + x];
   }
@@ -82,21 +88,19 @@ void FrameToPlanes(const Frame& frame, Planes* out) {
   }
 }
 
-Frame PlanesToFrame(const Planes& planes, int width, int height) {
+static_assert(sizeof(Rgb) == 3, "Frame rows must be packed RGB8 triples");
+
+/// Padded YCbCr 4:2:0 planes -> RGB frame, two luma rows per chroma row.
+Frame PlanesToFrame(const Planes& planes, int width, int height,
+                    const DctOps& ops) {
   Frame frame(width, height);
-  for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
-      double luma = planes.y.At(x, y);
-      double cb = planes.cb.At(x / 2, y / 2) - 128.0;
-      double cr = planes.cr.At(x / 2, y / 2) - 128.0;
-      double r = luma + 1.403 * cr;
-      double g = luma - 0.344 * cb - 0.714 * cr;
-      double b = luma + 1.773 * cb;
-      frame.At(x, y) =
-          Rgb{static_cast<uint8_t>(std::clamp(r, 0.0, 255.0)),
-              static_cast<uint8_t>(std::clamp(g, 0.0, 255.0)),
-              static_cast<uint8_t>(std::clamp(b, 0.0, 255.0))};
-    }
+  for (int y = 0; y < height; y += 2) {
+    const bool pair = y + 1 < height;
+    ops.ycc_to_rgb(planes.y.Row(y), pair ? planes.y.Row(y + 1) : nullptr,
+                   planes.cb.Row(y / 2), planes.cr.Row(y / 2), width,
+                   reinterpret_cast<uint8_t*>(frame.Row(y)),
+                   pair ? reinterpret_cast<uint8_t*>(frame.Row(y + 1))
+                        : nullptr);
   }
   return frame;
 }
@@ -149,9 +153,16 @@ bool EncodeBlock(const std::array<int16_t, 64>& zz, std::vector<uint8_t>* out) {
   return any;
 }
 
-bool DecodeBlock(const std::vector<uint8_t>& in, size_t* pos,
-                 std::array<int16_t, 64>* zz) {
-  zz->fill(0);
+/// Parses one RLE block straight into dequantized coefficients in natural
+/// order (the zigzag unscan folded into dequantization: the same
+/// double(int16 level) * divisor product Dequantize computes), and sets bit
+/// k of `rows` / `cols` for each row / column that holds a level.
+bool DecodeCoefficients(const std::vector<uint8_t>& in, size_t* pos,
+                        const std::array<double, 64>& dequant, DctBlock* out,
+                        uint32_t* rows, uint32_t* cols) {
+  out->fill(0.0);
+  *rows = 0;
+  *cols = 0;
   int i = 0;
   while (*pos < in.size()) {
     uint8_t run = in[(*pos)++];
@@ -159,7 +170,10 @@ bool DecodeBlock(const std::vector<uint8_t>& in, size_t* pos,
     i += run;
     int32_t level;
     if (i >= 64 || !GetVarint(in, pos, &level)) return false;
-    (*zz)[static_cast<size_t>(i)] = static_cast<int16_t>(level);
+    const size_t p = kZigzagOrder[static_cast<size_t>(i)];
+    (*out)[p] = static_cast<double>(static_cast<int16_t>(level)) * dequant[p];
+    *rows |= 1u << (p / 8);
+    *cols |= 1u << (p % 8);
     ++i;
   }
   return false;
@@ -182,32 +196,37 @@ void CodeBlock(const PixelBlock& input, const QuantTableSet& tables,
   InverseDct(dequantized, recon_out);
 }
 
-void ReconstructBlock(const std::array<int16_t, 64>& zz,
-                      const QuantTableSet& tables, bool chroma,
-                      PixelBlock* recon_out) {
-  std::array<int16_t, 64> quantized;
-  ZigzagUnscan(zz, &quantized);
-  DctBlock dequantized;
-  Dequantize(quantized, tables, chroma, &dequantized);
-  InverseDct(dequantized, recon_out);
-}
+constexpr size_t kBlockRowBytes = 8 * sizeof(int16_t);
 
 void ReadBlock(const Plane& plane, int bx, int by, PixelBlock* out) {
   for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      (*out)[static_cast<size_t>(y) * 8 + x] = plane.At(bx + x, by + y);
-    }
+    std::memcpy(out->data() + y * 8, plane.Row(by + y) + bx, kBlockRowBytes);
   }
 }
 
-void WriteBlock(Plane* plane, int bx, int by, const PixelBlock& in,
-                const PixelBlock* prediction, int dc_offset) {
+/// Copies the 8x8 block at (sx, sy) of `from` to (bx, by) of `to`.
+void CopyBlock(const Plane& from, int sx, int sy, Plane* to, int bx, int by) {
   for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      int v = in[static_cast<size_t>(y) * 8 + x] + dc_offset;
-      if (prediction) v += (*prediction)[static_cast<size_t>(y) * 8 + x];
-      plane->Set(bx + x, by + y,
-                 static_cast<int16_t>(std::clamp(v, 0, 255)));
+    std::memcpy(to->Row(by + y) + bx, from.Row(sy + y) + sx, kBlockRowBytes);
+  }
+}
+
+/// Writes clamp(residual + prediction) to the 8x8 block at (bx, by); a null
+/// `prediction` is the intra level 128.
+void WriteBlock(Plane* plane, int bx, int by, const PixelBlock& in,
+                const PixelBlock* prediction) {
+  for (int y = 0; y < 8; ++y) {
+    int16_t* out = plane->Row(by + y) + bx;
+    const int16_t* src = in.data() + y * 8;
+    if (prediction != nullptr) {
+      const int16_t* pred = prediction->data() + y * 8;
+      for (int x = 0; x < 8; ++x) {
+        out[x] = static_cast<int16_t>(std::clamp(src[x] + pred[x], 0, 255));
+      }
+    } else {
+      for (int x = 0; x < 8; ++x) {
+        out[x] = static_cast<int16_t>(std::clamp(src[x] + 128, 0, 255));
+      }
     }
   }
 }
@@ -360,15 +379,17 @@ Result<EncodedVideo> EncodedVideo::Deserialize(
     out.frames_.emplace_back(bytes.begin() + static_cast<long>(pos),
                              bytes.begin() + static_cast<long>(pos + frame_bytes));
     pos += frame_bytes;
-    if (pos + 9 > bytes.size()) {
+    if (pos >= bytes.size()) {
       return Status::ParseError("truncated frame stats");
     }
     CodedFrameStats stats;
     stats.bytes = frame_bytes;
     stats.intra_frame = bytes[pos++] != 0;
     uint32_t motion_milli, ratio_e4;
-    (void)GetU32(bytes, &pos, &motion_milli);
-    (void)GetU32(bytes, &pos, &ratio_e4);
+    if (!GetU32(bytes, &pos, &motion_milli) ||
+        !GetU32(bytes, &pos, &ratio_e4)) {
+      return Status::ParseError("truncated frame stats");
+    }
     stats.mean_motion = motion_milli / 1000.0;
     stats.intra_block_ratio = ratio_e4 / 10000.0;
     out.stats_.push_back(stats);
@@ -461,17 +482,10 @@ Result<EncodedVideo> BlockVideoEncoder::Encode(const VideoSource& video,
           bits.push_back(kSkip);
           // Reconstruction copies the reference.
           for (const BlockRef& b : kMbBlocks) {
-            const Plane& ref_plane = reference.*(b.plane);
-            Plane& rec_plane = recon.*(b.plane);
-            int scale = b.chroma ? 2 : 1;
             int bx = (b.chroma ? mbx * 8 : px) + b.dx;
             int by = (b.chroma ? mby * 8 : py) + b.dy;
-            (void)scale;
-            for (int y = 0; y < 8; ++y) {
-              for (int x = 0; x < 8; ++x) {
-                rec_plane.Set(bx + x, by + y, ref_plane.At(bx + x, by + y));
-              }
-            }
+            CopyBlock(reference.*(b.plane), bx, by, &(recon.*(b.plane)), bx,
+                      by);
           }
           continue;
         }
@@ -542,11 +556,10 @@ Result<EncodedVideo> BlockVideoEncoder::Encode(const VideoSource& video,
           const PixelBlock& contribution =
               (cbp & (1 << b)) ? recon_block[b] : zero;
           if (mode == kIntra) {
-            WriteBlock(&(recon.*(ref.plane)), bx, by, contribution, nullptr,
-                       128);
+            WriteBlock(&(recon.*(ref.plane)), bx, by, contribution, nullptr);
           } else {
             WriteBlock(&(recon.*(ref.plane)), bx, by, contribution,
-                       &prediction[b], 0);
+                       &prediction[b]);
           }
         }
       }
@@ -568,8 +581,19 @@ Result<EncodedVideo> BlockVideoEncoder::Encode(const VideoSource& video,
 
 // ---------- decoder ----------
 
-struct CodedVideoSource::DecoderState {
+/// The decoder's two plane sets: the last decoded frame (the prediction
+/// reference) and the frame being decoded, swapped after each frame, so a
+/// steady-state decode allocates no planes.
+struct DecodePlanes {
   Planes reference;
+  Planes current;
+  /// `reference` holds the previous frame of the current decode run; a P
+  /// frame without one is a ParseError, never a read of stale planes.
+  bool has_reference = false;
+};
+
+struct CodedVideoSource::DecoderState {
+  DecodePlanes planes;
   int64_t next_index = 0;  ///< the frame DecodeNext would produce
 };
 
@@ -591,22 +615,36 @@ CodedVideoSource::DecoderState& CodedVideoSource::ThreadState() const {
 
 namespace {
 
+/// Decodes one frame into planes->current and makes it the reference.
+/// On error the reference is left as it was.
 Status DecodeFrameBits(const std::vector<uint8_t>& bits,
-                       const QuantTableSet& tables, Planes* reference,
-                       int luma_w, int luma_h) {
+                       const QuantTableSet& tables, const DctOps& ops,
+                       int luma_w, int luma_h, DecodePlanes* planes) {
   if (bits.empty()) return Status::ParseError("empty frame bitstream");
   size_t pos = 0;
   const char type = static_cast<char>(bits[pos++]);
   if (type != 'I' && type != 'P') {
     return Status::ParseError("bad frame type marker");
   }
-  Planes current;
+  if (type == 'P' && !planes->has_reference) {
+    return Status::ParseError("P frame without a reference frame");
+  }
+  const int mb_cols = luma_w / kMb;
+  const int mb_rows = luma_h / kMb;
+  // Every macroblock carries at least its mode byte: a stream too short for
+  // the header's size fails here, before the planes are sized from it.
+  if (bits.size() - pos < static_cast<size_t>(mb_cols) * mb_rows) {
+    return Status::ParseError("truncated stream");
+  }
+  const Planes& reference = planes->reference;
+  Planes& current = planes->current;
   current.y.Resize(luma_w, luma_h);
   current.cb.Resize(luma_w / 2, luma_h / 2);
   current.cr.Resize(luma_w / 2, luma_h / 2);
 
-  const int mb_cols = luma_w / kMb;
-  const int mb_rows = luma_h / kMb;
+  // Every macroblock below writes all six of its blocks, so no stale sample
+  // of `current` survives a successful decode, and every sample of a
+  // decoded frame lies in [0, 255].
   for (int mby = 0; mby < mb_rows; ++mby) {
     for (int mbx = 0; mbx < mb_cols; ++mbx) {
       if (pos >= bits.size()) return Status::ParseError("truncated stream");
@@ -620,17 +658,20 @@ Status DecodeFrameBits(const std::vector<uint8_t>& bits,
         if (pos + 2 > bits.size()) return Status::ParseError("truncated mv");
         mvx = static_cast<int8_t>(bits[pos++]);
         mvy = static_cast<int8_t>(bits[pos++]);
+        // The predicted 16x16 luma block must lie inside the reference.
+        // Then so do both chroma blocks: mv / 2 truncates toward zero, so
+        // it never reaches further out than half the luma offset.
+        if (px + mvx < 0 || py + mvy < 0 || px + mvx + kMb > luma_w ||
+            py + mvy + kMb > luma_h) {
+          return Status::ParseError("motion vector outside the reference");
+        }
       }
       if (mode == kSkip) {
         for (const BlockRef& b : kMbBlocks) {
           int bx = (b.chroma ? mbx * 8 : px) + b.dx;
           int by = (b.chroma ? mby * 8 : py) + b.dy;
-          for (int y = 0; y < 8; ++y) {
-            for (int x = 0; x < 8; ++x) {
-              (current.*(b.plane))
-                  .Set(bx + x, by + y, (reference->*(b.plane)).At(bx + x, by + y));
-            }
-          }
+          CopyBlock(reference.*(b.plane), bx, by, &(current.*(b.plane)), bx,
+                    by);
         }
         continue;
       }
@@ -643,29 +684,39 @@ Status DecodeFrameBits(const std::vector<uint8_t>& bits,
         const BlockRef& ref = kMbBlocks[b];
         int bx = (ref.chroma ? mbx * 8 : px) + ref.dx;
         int by = (ref.chroma ? mby * 8 : py) + ref.dy;
-        PixelBlock contribution{};
-        if (cbp & (1 << b)) {
-          std::array<int16_t, 64> zz;
-          if (!DecodeBlock(bits, &pos, &zz)) {
-            return Status::ParseError("corrupt block data");
+        const int sx = bx + (ref.chroma ? mvx / 2 : mvx);
+        const int sy = by + (ref.chroma ? mvy / 2 : mvy);
+        Plane* out = &(current.*(ref.plane));
+        if (!(cbp & (1 << b))) {
+          // No residual: the clamped sum is the prediction itself (a zero
+          // intra block is the flat 128; reference samples are in range).
+          if (mode == kIntra) {
+            WriteBlock(out, bx, by, PixelBlock{}, nullptr);
+          } else {
+            CopyBlock(reference.*(ref.plane), sx, sy, out, bx, by);
           }
-          ReconstructBlock(zz, tables, ref.chroma, &contribution);
+          continue;
         }
+        DctBlock coeffs;
+        uint32_t rows, cols;
+        if (!DecodeCoefficients(bits, &pos, tables.dequant[ref.chroma ? 1 : 0],
+                                &coeffs, &rows, &cols)) {
+          return Status::ParseError("corrupt block data");
+        }
+        PixelBlock residual;
+        ops.idct8x8(coeffs.data(), rows, cols, residual.data());
         if (mode == kIntra) {
-          WriteBlock(&(current.*(ref.plane)), bx, by, contribution, nullptr,
-                     128);
+          WriteBlock(out, bx, by, residual, nullptr);
         } else {
-          int cmvx = ref.chroma ? mvx / 2 : mvx;
-          int cmvy = ref.chroma ? mvy / 2 : mvy;
           PixelBlock prediction;
-          ReadBlock(reference->*(ref.plane), bx + cmvx, by + cmvy, &prediction);
-          WriteBlock(&(current.*(ref.plane)), bx, by, contribution, &prediction,
-                     0);
+          ReadBlock(reference.*(ref.plane), sx, sy, &prediction);
+          WriteBlock(out, bx, by, residual, &prediction);
         }
       }
     }
   }
-  *reference = std::move(current);
+  std::swap(planes->reference, planes->current);
+  planes->has_reference = true;
   return Status::OK();
 }
 
@@ -674,6 +725,7 @@ Status DecodeFrameBits(const std::vector<uint8_t>& bits,
 Result<Frame> CodedVideoSource::DecodeAt(int64_t index) const {
   const int luma_w = PadTo(encoded_.width(), kMb);
   const int luma_h = PadTo(encoded_.height(), kMb);
+  const DctOps& ops = ActiveDctOps();
   DecoderState& state = ThreadState();
   // The cache holds only this thread's most recently decoded frame
   // (next_index - 1). Restart at the target's I-frame when seeking
@@ -684,14 +736,16 @@ Result<Frame> CodedVideoSource::DecodeAt(int64_t index) const {
           .first_frame;
   if (index + 1 < state.next_index || gop_start > state.next_index) {
     state.next_index = gop_start;
+    state.planes.has_reference = false;
   }
   while (state.next_index <= index) {
     COBRA_RETURN_NOT_OK(DecodeFrameBits(encoded_.FrameBits(state.next_index),
-                                        quant_tables_, &state.reference,
-                                        luma_w, luma_h));
+                                        quant_tables_, ops, luma_w, luma_h,
+                                        &state.planes));
     ++state.next_index;
   }
-  return PlanesToFrame(state.reference, encoded_.width(), encoded_.height());
+  return PlanesToFrame(state.planes.reference, encoded_.width(),
+                       encoded_.height(), ops);
 }
 
 Result<std::vector<Frame>> CodedVideoSource::DecodeGop(int64_t gop_index) const {
@@ -704,14 +758,15 @@ Result<std::vector<Frame>> CodedVideoSource::DecodeGop(int64_t gop_index) const 
   const GopIndexEntry& gop = encoded_.Gops()[static_cast<size_t>(gop_index)];
   const int luma_w = PadTo(encoded_.width(), kMb);
   const int luma_h = PadTo(encoded_.height(), kMb);
-  Planes reference;  // local: nothing shared, nothing locked
+  const DctOps& ops = ActiveDctOps();
+  DecodePlanes planes;  // local: nothing shared, nothing locked
   std::vector<Frame> frames;
   frames.reserve(static_cast<size_t>(gop.num_frames));
   for (int64_t f = gop.first_frame; f < gop.first_frame + gop.num_frames; ++f) {
     COBRA_RETURN_NOT_OK(DecodeFrameBits(encoded_.FrameBits(f), quant_tables_,
-                                        &reference, luma_w, luma_h));
-    frames.push_back(PlanesToFrame(reference, encoded_.width(),
-                                   encoded_.height()));
+                                        ops, luma_w, luma_h, &planes));
+    frames.push_back(PlanesToFrame(planes.reference, encoded_.width(),
+                                   encoded_.height(), ops));
   }
   return frames;
 }

@@ -241,6 +241,56 @@ TEST(SignatureIndexTest, AnnEqualsExhaustiveAcrossConfigsAndTiers) {
   sk::SetActiveLevel(original);
 }
 
+TEST(SignatureIndexTest, OneBatchBuildEqualsOneAtATimeBuild) {
+  Rng rng(4242);
+  const std::vector<vision::SignatureRecord> records =
+      MakeRecordCorpus(/*num_videos=*/10, /*shots_per_video=*/50, &rng);
+  const size_t n = records.size();
+  // One batch (tables sized once), one record at a time (tables regrown by
+  // doubling), and odd-sized chunks after one reservation of the total.
+  SignatureIndex batch, single, chunked;
+  batch.AddBaseChunk(records.data(), n);
+  for (size_t i = 0; i < n; ++i) single.AddBaseChunk(records.data() + i, 1);
+  chunked.ReserveRows(n);
+  for (size_t i = 0; i < n; i += 37) {
+    chunked.AddBaseChunk(records.data() + i, std::min<size_t>(37, n - i));
+  }
+  for (const SignatureIndex* index : {&batch, &single, &chunked}) {
+    ASSERT_EQ(index->num_records(), n);
+  }
+
+  std::vector<vision::ShotSignature> queries;
+  for (size_t i = 0; i < n; i += 11) {
+    queries.push_back(records[i].sig);
+    queries.push_back(Perturb(records[i].sig, 1 + static_cast<int>(i % 30), &rng));
+  }
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    for (size_t k : {size_t{1}, size_t{10}}) {
+      similarity::SimilaritySearchStats want_stats;
+      const auto want = single.SearchSimilar(queries[qi], k, &want_stats);
+      for (const SignatureIndex* index : {&batch, &chunked}) {
+        similarity::SimilaritySearchStats stats;
+        ExpectSameNeighbors(want, index->SearchSimilar(queries[qi], k, &stats),
+                            "q=" + std::to_string(qi));
+        EXPECT_EQ(stats.candidates, want_stats.candidates) << "q=" << qi;
+        EXPECT_EQ(stats.probes, want_stats.probes) << "q=" << qi;
+        EXPECT_EQ(index->HammingLowerBound(queries[qi]),
+                  single.HammingLowerBound(queries[qi]));
+      }
+    }
+  }
+  const auto want_pairs = single.FindNearDuplicates(31);
+  EXPECT_GT(want_pairs.size(), 0u);
+  for (const SignatureIndex* index : {&batch, &chunked}) {
+    const auto pairs = index->FindNearDuplicates(31);
+    ASSERT_EQ(pairs.size(), want_pairs.size());
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      EXPECT_EQ(pairs[i].a, want_pairs[i].a);
+      EXPECT_EQ(pairs[i].b, want_pairs[i].b);
+    }
+  }
+}
+
 TEST(SignatureIndexTest, ExhaustiveFallbackOnTinyIndexes) {
   // With a handful of records every enumeration beats nothing: the index
   // must fall back to the scan and still answer exactly.
