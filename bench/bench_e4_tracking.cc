@@ -3,7 +3,9 @@
 /// detector"): mean center error against scripted ground truth, track
 /// continuity (fraction of frames backed by an observed region), and the
 /// search-window ablation from DESIGN.md §5 (larger predictive windows cost
-/// more per frame but survive faster rallies).
+/// more per frame but survive faster rallies). Exits 1 when the tracker's
+/// windowed segmentation and the retained full-frame reference track
+/// BM_TrackShot's shot differently.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +14,7 @@
 
 #include "bench_util.h"
 #include "detectors/player_tracker.h"
+#include "support/reference_segmentation.h"
 #include "util/stats.h"
 #include "vision/kernels.h"
 #include "vision/mask.h"
@@ -150,12 +153,54 @@ void RunQualityTable() {
   bench::PrintRule();
 }
 
-void BM_TrackShot(benchmark::State& state) {
+/// BM_TrackShot's input: one point, no cutaways; its first shot is tracked.
+media::Broadcast TrackShotBroadcast() {
   auto config = bench::DefaultBroadcast();
   config.num_points = 1;
   config.include_cutaways = false;
-  auto broadcast =
-      media::TennisBroadcastSynthesizer(config).Synthesize().TakeValue();
+  return media::TennisBroadcastSynthesizer(config).Synthesize().TakeValue();
+}
+
+constexpr int kTrackShotMargins[] = {8, 12, 32};
+
+/// Tracks BM_TrackShot's shot at each benchmarked search margin with the
+/// tracker and with the full-frame reference segmentation; returns false
+/// unless every result is the same, bit for bit. Also reports the wall
+/// time of one run of each.
+bool TracksMatchReference() {
+  bench::PrintHeader("E4", "windowed segmentation vs full-frame reference");
+  const auto broadcast = TrackShotBroadcast();
+  const FrameInterval shot = broadcast.truth.shots.front().range;
+  std::printf("%-14s %8s %14s %14s %10s\n", "search_margin", "points",
+              "windowed_ms", "reference_ms", "identical");
+  bool all_same = true;
+  for (int margin : kTrackShotMargins) {
+    detectors::PlayerTrackerConfig config;
+    config.search_margin = margin;
+    bench::WallTimer timer;
+    auto got = detectors::PlayerTracker(config).Track(*broadcast.video, shot);
+    const double windowed_ms = timer.Millis();
+    timer = bench::WallTimer();
+    auto want = detectors::reference::Track(config, *broadcast.video, shot);
+    const double reference_ms = timer.Millis();
+    const bool same = got.ok() && want.ok() &&
+                      detectors::reference::SameTracking(*got, *want);
+    size_t points = 0;
+    if (got.ok()) {
+      for (const auto& track : got->tracks) points += track.points.size();
+    }
+    std::printf("%-14d %8zu %14.2f %14.2f %10s\n", margin, points,
+                windowed_ms, reference_ms, same ? "yes" : "NO");
+    all_same = all_same && same;
+  }
+  bench::PrintJsonMetric("e4_tracking", "tracks_match_reference",
+                         all_same ? 1.0 : 0.0);
+  bench::PrintRule();
+  return all_same;
+}
+
+void BM_TrackShot(benchmark::State& state) {
+  const auto broadcast = TrackShotBroadcast();
   detectors::PlayerTrackerConfig tracker_config;
   tracker_config.search_margin = static_cast<int>(state.range(0));
   detectors::PlayerTracker tracker(tracker_config);
@@ -190,7 +235,8 @@ int main(int argc, char** argv) {
   cobra::bench::OpenJsonArtifact("BENCH_E4.json");
   RunQualityTable();
   PrintForegroundKernelThroughput();
+  const bool identical = TracksMatchReference();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return identical ? 0 : 1;
 }

@@ -29,7 +29,9 @@ struct BackgroundBoxes {
 
 /// Segments foreground regions within `roi` and returns components sorted
 /// by decreasing area. Foreground = neither court surface, nor out-of-court
-/// background, nor a court line.
+/// background, nor a court line. The mask covers only the ROI plus a
+/// one-pixel margin (see BinaryMask), so a search window costs its own
+/// area, not the frame's.
 std::vector<vision::ConnectedComponent> SegmentForeground(
     const media::Frame& frame, const RectI& roi, const BackgroundBoxes& bg,
     int64_t min_area) {
@@ -86,8 +88,7 @@ Result<TrackingResult> PlayerTracker::Track(const media::VideoSource& video,
   auto frame_at =
       [&](int64_t f) -> Result<std::shared_ptr<const media::Frame>> {
     if (cache_ != nullptr) return cache_->GetFrame(f, 1);
-    COBRA_ASSIGN_OR_RETURN(media::Frame frame, video.GetFrame(f));
-    return std::make_shared<const media::Frame>(std::move(frame));
+    return video.GetSharedFrame(f);
   };
 
   TrackingResult result;

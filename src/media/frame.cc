@@ -6,6 +6,11 @@
 
 namespace cobra::media {
 
+Frame::Frame(int width, int height)
+    : width_(width),
+      height_(height),
+      pixels_(static_cast<size_t>(width) * static_cast<size_t>(height)) {}
+
 Frame::Frame(int width, int height, Rgb fill)
     : width_(width),
       height_(height),

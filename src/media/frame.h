@@ -21,8 +21,10 @@ class Frame {
  public:
   Frame() = default;
 
+  /// Allocates a black width x height frame (pixels value-initialized).
+  Frame(int width, int height);
   /// Allocates a width x height frame filled with `fill`.
-  Frame(int width, int height, Rgb fill = Rgb{0, 0, 0});
+  Frame(int width, int height, Rgb fill);
 
   int width() const { return width_; }
   int height() const { return height_; }

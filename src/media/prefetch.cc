@@ -60,8 +60,19 @@ void PrefetchingVideoSource::WaitIdle() const {
   });
 }
 
+Result<PrefetchingVideoSource::SharedFrames>
+PrefetchingVideoSource::DecodeShared(int64_t gop) const {
+  COBRA_ASSIGN_OR_RETURN(std::vector<Frame> frames, source_.DecodeGop(gop));
+  SharedFrames shared;
+  shared.reserve(frames.size());
+  for (Frame& frame : frames) {
+    shared.push_back(std::make_shared<const Frame>(std::move(frame)));
+  }
+  return shared;
+}
+
 void PrefetchingVideoSource::PublishLocked(
-    GopSlot* slot, Result<std::vector<Frame>> decoded) const {
+    GopSlot* slot, Result<SharedFrames> decoded) const {
   if (decoded.ok()) {
     slot->frames = decoded.TakeValue();
     slot->state = GopSlot::State::kReady;
@@ -87,7 +98,7 @@ void PrefetchingVideoSource::ScheduleLookaheadLocked(int64_t index) const {
     ++stats_.scheduled_gops;
     tasks_.Run([this, g, slot]() {
       // Pure decode outside the lock; publish under it.
-      Result<std::vector<Frame>> decoded = source_.DecodeGop(g);
+      Result<SharedFrames> decoded = DecodeShared(g);
       std::lock_guard<std::mutex> lock(mutex_);
       PublishLocked(slot.get(), std::move(decoded));
     });
@@ -132,6 +143,13 @@ void PrefetchingVideoSource::EvictLocked(int64_t keep_gop) const {
 }
 
 Result<Frame> PrefetchingVideoSource::GetFrame(int64_t index) const {
+  COBRA_ASSIGN_OR_RETURN(std::shared_ptr<const Frame> frame,
+                         GetSharedFrame(index));
+  return *frame;
+}
+
+Result<std::shared_ptr<const Frame>> PrefetchingVideoSource::GetSharedFrame(
+    int64_t index) const {
   if (index < 0 || index >= source_.num_frames()) {
     return Status::OutOfRange(
         StringFormat("frame %lld out of range", static_cast<long long>(index)));
@@ -159,7 +177,7 @@ Result<Frame> PrefetchingVideoSource::GetFrame(int64_t index) const {
     ++stats_.inline_decodes;
     if (sequential) ScheduleLookaheadLocked(index);
     lock.unlock();
-    Result<std::vector<Frame>> decoded = source_.DecodeGop(gop);
+    Result<SharedFrames> decoded = DecodeShared(gop);
     lock.lock();
     PublishLocked(slot.get(), std::move(decoded));
   } else {
@@ -184,7 +202,7 @@ Result<Frame> PrefetchingVideoSource::GetFrame(int64_t index) const {
   slot->last_touch = ++touch_clock_;
   EvictLocked(gop);
   lock.unlock();
-  // Copy outside the lock: `frames` is written once at publish and the
+  // Read outside the lock: `frames` is written once at publish and the
   // shared_ptr keeps the slot alive even if a concurrent eviction drops it
   // from the map.
   const int64_t first =

@@ -11,11 +11,11 @@
 /// bounded buffer (LRU-evicted per GOP), so the steady-state sequential
 /// read is a buffer hit and the decode happens off the critical path.
 ///
-/// Thread-safety contract: `GetFrame` is safe from any number of threads
-/// (the FDE calls it from every wave worker). Decode work itself is
-/// `CodedVideoSource::DecodeGop`, which is pure, so output is bit-identical
-/// to the undecorated source for every config. Destruction joins all
-/// in-flight decode tasks.
+/// Thread-safety contract: `GetFrame` and `GetSharedFrame` are safe from
+/// any number of threads (the FDE calls them from every wave worker).
+/// Decode work itself is `CodedVideoSource::DecodeGop`, which is pure, so
+/// output is bit-identical to the undecorated source for every config.
+/// Destruction joins all in-flight decode tasks.
 
 #include <cstdint>
 #include <condition_variable>
@@ -72,7 +72,12 @@ class PrefetchingVideoSource : public VideoSource {
   int height() const override { return source_.height(); }
   double fps() const override { return source_.fps(); }
 
+  /// A copy of the buffered frame (see GetSharedFrame).
   Result<Frame> GetFrame(int64_t index) const override;
+  /// The GOP buffer's own frame, shared without copying: it stays valid
+  /// for as long as the caller holds it, also after its GOP is evicted.
+  Result<std::shared_ptr<const Frame>> GetSharedFrame(
+      int64_t index) const override;
 
   const CodedVideoSource& source() const { return source_; }
   PrefetchStats stats() const;
@@ -83,12 +88,16 @@ class PrefetchingVideoSource : public VideoSource {
   void WaitIdle() const;
 
  private:
+  using SharedFrames = std::vector<std::shared_ptr<const Frame>>;
+
   /// One GOP's decode slot in the buffer.
   struct GopSlot {
     enum class State { kInFlight, kReady, kFailed };
     State state = State::kInFlight;
     Status status = Status::OK();  ///< failure cause when kFailed
-    std::vector<Frame> frames;     ///< display order when kReady
+    /// Display order when kReady. Handed out by pointer: readers (the
+    /// frame-feature cache) share these frames instead of copying them.
+    SharedFrames frames;
     int64_t last_touch = 0;        ///< LRU stamp
   };
 
@@ -102,9 +111,11 @@ class PrefetchingVideoSource : public VideoSource {
     int64_t stamp = 0;  ///< touch_clock_ at last access
   };
 
+  /// Decodes GOP `gop` into shared frames. Pure; runs outside `mutex_`.
+  Result<SharedFrames> DecodeShared(int64_t gop) const;
   /// Publishes a finished decode into `slot` and wakes waiters. Called with
   /// `mutex_` held.
-  void PublishLocked(GopSlot* slot, Result<std::vector<Frame>> decoded) const;
+  void PublishLocked(GopSlot* slot, Result<SharedFrames> decoded) const;
   /// Schedules GOPs covering (index, index + prefetch_frames] that are not
   /// yet resident. Called with `mutex_` held; only enqueues, never decodes.
   void ScheduleLookaheadLocked(int64_t index) const;

@@ -11,6 +11,12 @@ uint64_t VideoSource::NextInstanceId() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+Result<std::shared_ptr<const Frame>> VideoSource::GetSharedFrame(
+    int64_t index) const {
+  COBRA_ASSIGN_OR_RETURN(Frame frame, GetFrame(index));
+  return std::make_shared<const Frame>(std::move(frame));
+}
+
 MemoryVideo::MemoryVideo(std::vector<Frame> frames, double fps)
     : frames_(std::move(frames)), fps_(fps) {
   if (!frames_.empty()) {

@@ -32,6 +32,12 @@ class VideoSource {
   /// Decodes frame `index` in [0, num_frames()).
   virtual Result<Frame> GetFrame(int64_t index) const = 0;
 
+  /// Frame `index` as an immutable shared frame. The default wraps
+  /// GetFrame; a source that already keeps decoded frames (the GOP buffer
+  /// of PrefetchingVideoSource) hands out its own frame without copying.
+  virtual Result<std::shared_ptr<const Frame>> GetSharedFrame(
+      int64_t index) const;
+
   /// Process-unique id of this object, never reused. A source destroyed
   /// and another constructed at the same address get different ids, so
   /// state kept per source (the FDE's decode pipeline and frame-feature

@@ -54,11 +54,12 @@ Result<std::shared_ptr<const media::Frame>> FrameFeatureCache::GetFrame(
     std::lock_guard<std::mutex> lock(mutex_);
     if (Entry* entry = Lookup(key)) return entry->frame;
   }
-  COBRA_ASSIGN_OR_RETURN(media::Frame frame, video_.GetFrame(index));
+  COBRA_ASSIGN_OR_RETURN(std::shared_ptr<const media::Frame> shared,
+                         video_.GetSharedFrame(index));
   if (downsample > 1) {
-    COBRA_ASSIGN_OR_RETURN(frame, frame.Downsample(downsample));
+    COBRA_ASSIGN_OR_RETURN(media::Frame small, shared->Downsample(downsample));
+    shared = std::make_shared<const media::Frame>(std::move(small));
   }
-  auto shared = std::make_shared<const media::Frame>(std::move(frame));
   if (config_.cache_bytes > 0) {
     Entry entry;
     entry.frame = shared;

@@ -42,6 +42,9 @@ class FrameFeatureCache {
   const media::VideoSource& video() const { return video_; }
 
   /// Frame `index`, box-downsampled by `downsample` (1 = full resolution).
+  /// At full resolution the entry is the source's own shared frame
+  /// (VideoSource::GetSharedFrame), not a copy; it is charged to the
+  /// budget all the same, so eviction does not depend on the source.
   Result<std::shared_ptr<const media::Frame>> GetFrame(int64_t index,
                                                        int downsample);
 

@@ -1,7 +1,6 @@
 #include "vision/mask.h"
 
 #include <algorithm>
-#include <deque>
 
 namespace cobra::vision {
 
@@ -13,8 +12,9 @@ int64_t BinaryMask::Count() const {
 RectI BinaryMask::BoundingBox() const {
   int min_x = width_, min_y = height_, max_x = -1, max_y = -1;
   for (int y = 0; y < height_; ++y) {
+    const uint8_t* row = bits_.data() + static_cast<size_t>(y) * width_;
     for (int x = 0; x < width_; ++x) {
-      if (At(x, y)) {
+      if (row[x] != 0) {
         min_x = std::min(min_x, x);
         min_y = std::min(min_y, y);
         max_x = std::max(max_x, x);
@@ -23,7 +23,8 @@ RectI BinaryMask::BoundingBox() const {
     }
   }
   if (max_x < 0) return RectI{};
-  return RectI{min_x, min_y, max_x - min_x + 1, max_y - min_y + 1};
+  return RectI{origin_x_ + min_x, origin_y_ + min_y, max_x - min_x + 1,
+               max_y - min_y + 1};
 }
 
 namespace {
@@ -73,6 +74,8 @@ BinaryMask BinaryMask::Erode() const {
   BinaryMask out;
   out.width_ = width_;
   out.height_ = height_;
+  out.origin_x_ = origin_x_;
+  out.origin_y_ = origin_y_;
   out.bits_ = Morph3x3<false>(bits_, static_cast<size_t>(width_),
                               static_cast<size_t>(height_));
   return out;
@@ -82,9 +85,22 @@ BinaryMask BinaryMask::Dilate() const {
   BinaryMask out;
   out.width_ = width_;
   out.height_ = height_;
+  out.origin_x_ = origin_x_;
+  out.origin_y_ = origin_y_;
   out.bits_ = Morph3x3<true>(bits_, static_cast<size_t>(width_),
                              static_cast<size_t>(height_));
   return out;
+}
+
+BinaryMask BinaryMask::ForRoi(const media::Frame& frame, const RectI& roi,
+                              RectI* clipped) {
+  *clipped = roi.ClipTo(frame.width(), frame.height());
+  if (clipped->Empty()) return BinaryMask();
+  const RectI window =
+      RectI{clipped->x - 1, clipped->y - 1, clipped->width + 2,
+            clipped->height + 2}
+          .ClipTo(frame.width(), frame.height());
+  return BinaryMask(window.width, window.height, window.x, window.y);
 }
 
 BinaryMask BinaryMask::FromPredicate(
@@ -97,8 +113,8 @@ BinaryMask BinaryMask::FromPredicate(
 BinaryMask BinaryMask::FromPredicate(
     const media::Frame& frame, const RectI& roi,
     const std::function<bool(const media::Rgb&)>& predicate) {
-  BinaryMask out(frame.width(), frame.height());
-  RectI r = roi.ClipTo(frame.width(), frame.height());
+  RectI r;
+  BinaryMask out = ForRoi(frame, roi, &r);
   for (int y = r.y; y < r.Bottom(); ++y) {
     for (int x = r.x; x < r.Right(); ++x) {
       if (predicate(frame.At(x, y))) out.Set(x, y, true);
@@ -110,8 +126,8 @@ BinaryMask BinaryMask::FromPredicate(
 BinaryMask BinaryMask::FromColorBox(const media::Frame& frame,
                                     const RectI& roi,
                                     const kernels::ColorBox& box) {
-  BinaryMask out(frame.width(), frame.height());
-  RectI r = roi.ClipTo(frame.width(), frame.height());
+  RectI r;
+  BinaryMask out = ForRoi(frame, roi, &r);
   const kernels::KernelOps& ops = kernels::Ops();
   for (int y = r.y; y < r.Bottom(); ++y) {
     ops.classify_inside(frame.Row(y) + r.x, static_cast<size_t>(r.width), box,
@@ -124,8 +140,8 @@ BinaryMask BinaryMask::FromOutsideColorBoxes(const media::Frame& frame,
                                              const RectI& roi,
                                              const kernels::ColorBox* boxes,
                                              size_t num_boxes) {
-  BinaryMask out(frame.width(), frame.height());
-  RectI r = roi.ClipTo(frame.width(), frame.height());
+  RectI r;
+  BinaryMask out = ForRoi(frame, roi, &r);
   const kernels::KernelOps& ops = kernels::Ops();
   for (int y = r.y; y < r.Bottom(); ++y) {
     ops.classify_outside(frame.Row(y) + r.x, static_cast<size_t>(r.width),
@@ -137,43 +153,47 @@ BinaryMask BinaryMask::FromOutsideColorBoxes(const media::Frame& frame,
 std::vector<ConnectedComponent> LabelComponents(const BinaryMask& mask,
                                                 int64_t min_area) {
   std::vector<ConnectedComponent> out;
-  if (mask.Empty()) return out;
-  std::vector<int> labels(
-      static_cast<size_t>(mask.width()) * static_cast<size_t>(mask.height()), 0);
-  auto idx = [&](int x, int y) {
-    return static_cast<size_t>(y) * mask.width() + x;
-  };
+  const int width = mask.width();
+  const int height = mask.height();
+  const int ox = mask.origin_x();
+  const int oy = mask.origin_y();
+  // Set pixels not yet labeled; each is cleared when it joins a component.
+  std::vector<uint8_t> unlabeled = mask.bits();
   int next_label = 0;
-  for (int y = 0; y < mask.height(); ++y) {
-    for (int x = 0; x < mask.width(); ++x) {
-      if (!mask.At(x, y) || labels[idx(x, y)] != 0) continue;
-      ++next_label;
+  for (int y = 0; y < height; ++y) {
+    for (int x = 0; x < width; ++x) {
+      if (unlabeled[static_cast<size_t>(y) * width + x] == 0) continue;
+      unlabeled[static_cast<size_t>(y) * width + x] = 0;
       ConnectedComponent cc;
-      cc.label = next_label;
+      cc.label = ++next_label;
+      cc.pixels.emplace_back(ox + x, oy + y);
+      int min_x = x, min_y = y, max_x = x, max_y = y;
       double sum_x = 0, sum_y = 0;
-      std::deque<std::pair<int, int>> queue{{x, y}};
-      labels[idx(x, y)] = next_label;
-      RectI box{x, y, 1, 1};
-      while (!queue.empty()) {
-        auto [cx, cy] = queue.front();
-        queue.pop_front();
-        cc.pixels.emplace_back(cx, cy);
-        cc.area++;
-        sum_x += cx;
-        sum_y += cy;
-        box = box.Union(RectI{cx, cy, 1, 1});
+      // Breadth-first: the pixel list is the queue, so members land in the
+      // order they are dequeued.
+      for (size_t head = 0; head < cc.pixels.size(); ++head) {
+        const auto [fx, fy] = cc.pixels[head];
+        sum_x += fx;
+        sum_y += fy;
+        const int cx = fx - ox, cy = fy - oy;
+        min_x = std::min(min_x, cx);
+        min_y = std::min(min_y, cy);
+        max_x = std::max(max_x, cx);
+        max_y = std::max(max_y, cy);
         constexpr int kDx[] = {1, -1, 0, 0};
         constexpr int kDy[] = {0, 0, 1, -1};
         for (int d = 0; d < 4; ++d) {
-          int nx = cx + kDx[d], ny = cy + kDy[d];
-          if (nx >= 0 && nx < mask.width() && ny >= 0 && ny < mask.height() &&
-              mask.At(nx, ny) && labels[idx(nx, ny)] == 0) {
-            labels[idx(nx, ny)] = next_label;
-            queue.emplace_back(nx, ny);
-          }
+          const int nx = cx + kDx[d], ny = cy + kDy[d];
+          if (nx < 0 || nx >= width || ny < 0 || ny >= height) continue;
+          uint8_t& bit = unlabeled[static_cast<size_t>(ny) * width + nx];
+          if (bit == 0) continue;
+          bit = 0;
+          cc.pixels.emplace_back(ox + nx, oy + ny);
         }
       }
-      cc.bbox = box;
+      cc.area = static_cast<int64_t>(cc.pixels.size());
+      cc.bbox = RectI{ox + min_x, oy + min_y, max_x - min_x + 1,
+                      max_y - min_y + 1};
       cc.centroid = PointD{sum_x / static_cast<double>(cc.area),
                            sum_y / static_cast<double>(cc.area)};
       if (cc.area >= min_area) out.push_back(std::move(cc));

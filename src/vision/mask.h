@@ -14,21 +14,43 @@
 
 namespace cobra::vision {
 
-/// A width x height binary raster.
+/// A binary raster over a window of a frame: `width` x `height` bytes
+/// whose first pixel sits at frame coordinates (origin_x, origin_y). Every
+/// pixel outside the window is 0, and all coordinates in the interface are
+/// frame coordinates, so a windowed mask reads like a full-frame one.
+///
+/// The ROI builders cover only the ROI grown by one pixel and clipped to
+/// the frame. A set pixel then lies at least one pixel inside the window
+/// unless it touches the frame border, so one 3x3 operation on the window
+/// equals the same operation on the full frame; Open() (erode, then dilate
+/// what is left inside the ROI) and Close() stay exact as well.
 class BinaryMask {
  public:
   BinaryMask() = default;
-  BinaryMask(int width, int height)
+  /// A zeroed mask over the window {origin_x, origin_y, width, height}.
+  BinaryMask(int width, int height, int origin_x = 0, int origin_y = 0)
       : width_(width),
         height_(height),
+        origin_x_(origin_x),
+        origin_y_(origin_y),
         bits_(static_cast<size_t>(width) * static_cast<size_t>(height), 0) {}
 
   int width() const { return width_; }
   int height() const { return height_; }
+  int origin_x() const { return origin_x_; }
+  int origin_y() const { return origin_y_; }
+  RectI Window() const { return RectI{origin_x_, origin_y_, width_, height_}; }
   bool Empty() const { return width_ == 0 || height_ == 0; }
 
-  bool At(int x, int y) const { return bits_[Index(x, y)] != 0; }
+  /// Pixel at frame coordinates (x, y); 0 outside the window.
+  bool At(int x, int y) const {
+    return Window().Contains(x, y) && bits_[Index(x, y)] != 0;
+  }
+  /// Unchecked write; requires (x, y) inside the window.
   void Set(int x, int y, bool v) { bits_[Index(x, y)] = v ? 1 : 0; }
+
+  /// The window's 0/1 bytes, row-major.
+  const std::vector<uint8_t>& bits() const { return bits_; }
 
   /// Number of set pixels.
   int64_t Count() const;
@@ -36,9 +58,10 @@ class BinaryMask {
   /// Tight bounding box of set pixels (empty rect if none).
   RectI BoundingBox() const;
 
-  /// 3x3 box erosion (8-neighborhood).
+  /// 3x3 box erosion (8-neighborhood); pixels outside the window count
+  /// as 0. Keeps the window.
   BinaryMask Erode() const;
-  /// 3x3 box dilation (8-neighborhood).
+  /// 3x3 box dilation (8-neighborhood), clipped to the window.
   BinaryMask Dilate() const;
   /// Erode-then-dilate; removes isolated noise pixels.
   BinaryMask Open() const { return Erode().Dilate(); }
@@ -69,13 +92,22 @@ class BinaryMask {
                                           size_t num_boxes);
 
  private:
+  /// The zeroed mask the ROI builders fill: `roi` clipped to the frame
+  /// (returned in `*clipped`), grown by one pixel and clipped again. An
+  /// empty clipped ROI gives an empty mask.
+  static BinaryMask ForRoi(const media::Frame& frame, const RectI& roi,
+                           RectI* clipped);
+
+  /// Raster index of frame coordinates (x, y) inside the window.
   size_t Index(int x, int y) const {
-    return static_cast<size_t>(y) * static_cast<size_t>(width_) +
-           static_cast<size_t>(x);
+    return static_cast<size_t>(y - origin_y_) * static_cast<size_t>(width_) +
+           static_cast<size_t>(x - origin_x_);
   }
 
   int width_ = 0;
   int height_ = 0;
+  int origin_x_ = 0;
+  int origin_y_ = 0;
   std::vector<uint8_t> bits_;
 };
 
@@ -88,7 +120,8 @@ struct ConnectedComponent {
   std::vector<std::pair<int, int>> pixels;  ///< (x, y) members
 };
 
-/// Labels 4-connected components; returns them sorted by decreasing area.
+/// Labels 4-connected components in raster order (breadth-first from each
+/// seed); returns them sorted by decreasing area, in frame coordinates.
 /// Components smaller than `min_area` are dropped.
 std::vector<ConnectedComponent> LabelComponents(const BinaryMask& mask,
                                                 int64_t min_area = 1);

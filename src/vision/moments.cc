@@ -1,7 +1,7 @@
 #include "vision/moments.h"
 
+#include <array>
 #include <cmath>
-#include <map>
 
 namespace cobra::vision {
 
@@ -45,8 +45,9 @@ RegionMoments ComputeMoments(const std::vector<std::pair<int, int>>& pixels) {
 
 RegionMoments ComputeMoments(const BinaryMask& mask) {
   std::vector<std::pair<int, int>> pixels;
-  for (int y = 0; y < mask.height(); ++y) {
-    for (int x = 0; x < mask.width(); ++x) {
+  const RectI window = mask.Window();
+  for (int y = window.y; y < window.Bottom(); ++y) {
+    for (int x = window.x; x < window.Right(); ++x) {
       if (mask.At(x, y)) pixels.emplace_back(x, y);
     }
   }
@@ -64,27 +65,27 @@ ShapeFeatures ComputeShapeFeatures(const media::Frame& frame,
   out.eccentricity = m.Eccentricity();
 
   // Dominant color: modal 32-level-quantized color among member pixels.
-  std::map<uint32_t, int> counts;
+  // Keys are (r, g, b) / 32 packed 3 bits each, so scanning the counts in
+  // key order and keeping the first maximum picks the smallest key on ties.
+  std::array<int, 512> counts{};
   for (const auto& [x, y] : component.pixels) {
     const media::Rgb& p = frame.At(x, y);
-    uint32_t key = (static_cast<uint32_t>(p.r / 32) << 16) |
-                   (static_cast<uint32_t>(p.g / 32) << 8) |
-                   static_cast<uint32_t>(p.b / 32);
-    counts[key]++;
+    ++counts[static_cast<size_t>(((p.r / 32) << 6) | ((p.g / 32) << 3) |
+                                 (p.b / 32))];
   }
-  uint32_t best_key = 0;
-  int best = -1;
-  for (const auto& [key, count] : counts) {
-    if (count > best) {
-      best = count;
+  int best_key = 0;
+  int best = 0;
+  for (int key = 0; key < 512; ++key) {
+    if (counts[static_cast<size_t>(key)] > best) {
+      best = counts[static_cast<size_t>(key)];
       best_key = key;
     }
   }
-  if (best >= 0) {
+  if (best > 0) {
     out.dominant_color =
-        media::Rgb{static_cast<uint8_t>(((best_key >> 16) & 0xFF) * 32 + 16),
-                   static_cast<uint8_t>(((best_key >> 8) & 0xFF) * 32 + 16),
-                   static_cast<uint8_t>((best_key & 0xFF) * 32 + 16)};
+        media::Rgb{static_cast<uint8_t>((best_key >> 6) * 32 + 16),
+                   static_cast<uint8_t>(((best_key >> 3) & 7) * 32 + 16),
+                   static_cast<uint8_t>((best_key & 7) * 32 + 16)};
   }
   return out;
 }

@@ -23,6 +23,7 @@
 #include "media/video.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
+#include "vision/frame_feature_cache.h"
 #include "vision/kernels.h"
 
 namespace cobra::media {
@@ -290,6 +291,63 @@ TEST(DecodePipelineTest, ConcurrentPrefetchedReadersAreConsistent) {
     EXPECT_TRUE(FramesIdentical(*frame, reference[static_cast<size_t>(f)]))
         << "frame " << f;
   });
+}
+
+/// The GOP buffer hands its frames to the frame-feature cache by pointer:
+/// the cache's full-resolution entry is the buffer's own frame, its pixels
+/// equal the plain decoder's, and a frame a caller holds outlives the
+/// eviction of its GOP.
+TEST(DecodePipelineTest, CacheSharesBufferedFramesWithoutCopies) {
+  const EncodedVideo& encoded = EncodedWithGop(12);
+  const std::vector<Frame> reference = SequentialDecode(encoded);
+  CodedVideoSource source(encoded);
+  util::ThreadPool decode_pool(2);
+  PrefetchConfig config;
+  config.prefetch_frames = 12;  // a 4-GOP buffer: early GOPs get evicted
+  PrefetchingVideoSource prefetched(source, config, &decode_pool);
+  vision::FrameFeatureCache cache(prefetched);
+  const int64_t n = prefetched.num_frames();
+
+  std::vector<std::shared_ptr<const Frame>> first_gop;
+  for (int64_t f = 0; f < n; ++f) {
+    auto cached = cache.GetFrame(f, 1);
+    auto shared = prefetched.GetSharedFrame(f);
+    ASSERT_TRUE(cached.ok()) << cached.status().ToString();
+    ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+    EXPECT_EQ(cached->get(), shared->get()) << "frame " << f;
+    EXPECT_TRUE(FramesIdentical(**shared, reference[static_cast<size_t>(f)]))
+        << "frame " << f;
+    auto copy = prefetched.GetFrame(f);
+    ASSERT_TRUE(copy.ok());
+    EXPECT_TRUE(FramesIdentical(*copy, **shared));
+    if (encoded.GopOfFrame(f) == 0) first_gop.push_back(*shared);
+  }
+  ASSERT_GT(prefetched.stats().evicted_gops, 0);
+  ASSERT_FALSE(first_gop.empty());
+  for (size_t i = 0; i < first_gop.size(); ++i) {
+    EXPECT_TRUE(FramesIdentical(*first_gop[i], reference[i])) << "frame " << i;
+  }
+
+  // Concurrent readers through the cache and the buffer: every frame the
+  // cache returns is a buffer frame with the reference's pixels.
+  cache.Clear();
+  util::ThreadPool reader_pool(4);
+  reader_pool.ParallelFor(0, 2 * n, 1, [&](int64_t i) {
+    const int64_t f = (i * 7) % n;
+    auto frame =
+        i % 2 == 0 ? cache.GetFrame(f, 1) : prefetched.GetSharedFrame(f);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_TRUE(FramesIdentical(**frame, reference[static_cast<size_t>(f)]))
+        << "frame " << f;
+  });
+}
+
+TEST(DecodePipelineTest, DefaultSharedFrameWrapsGetFrame) {
+  const MemoryVideo& video = PipelineVideo();
+  auto shared = video.GetSharedFrame(5);
+  ASSERT_TRUE(shared.ok());
+  EXPECT_TRUE(FramesIdentical(**shared, video.GetFrame(5).TakeValue()));
+  EXPECT_FALSE(video.GetSharedFrame(video.num_frames()).ok());
 }
 
 // ---------- DCT dispatch tiers ----------

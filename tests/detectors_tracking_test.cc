@@ -8,7 +8,9 @@
 #include "detectors/hmm_events.h"
 #include "detectors/player_tracker.h"
 #include "media/tennis_synthesizer.h"
+#include "support/reference_segmentation.h"
 #include "util/stats.h"
+#include "vision/frame_feature_cache.h"
 
 namespace cobra::detectors {
 namespace {
@@ -125,6 +127,41 @@ TEST(PlayerTrackerTest, TrackFollowsGroundTruth) {
           << "player " << track.player_id << " mean center error";
     }
   }
+}
+
+TEST(PlayerTrackerTest, MatchesFullFrameReference) {
+  // Search windows clipped by the ROI and the frame, re-acquisition over a
+  // half ROI (max_lost_frames = 0 re-segments on every miss), and frames
+  // read through a shared frame cache: every point equals the full-frame
+  // segmentation's, bit for bit.
+  const Broadcast& b = SharedBroadcast();
+  vision::FrameFeatureCache cache(*b.video);
+  struct Case {
+    int search_margin;
+    int max_lost_frames;
+    bool use_cache;
+  };
+  const Case cases[] = {{4, 0, false}, {12, 8, true}, {32, 8, false}};
+  int points = 0;
+  for (const Case& c : cases) {
+    PlayerTrackerConfig config;
+    config.search_margin = c.search_margin;
+    config.max_lost_frames = c.max_lost_frames;
+    PlayerTracker tracker(config);
+    if (c.use_cache) tracker.SetExecution(&cache);
+    for (const FrameInterval& shot : CourtShots(b)) {
+      auto got = tracker.Track(*b.video, shot);
+      auto want = reference::Track(config, *b.video, shot);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      EXPECT_TRUE(reference::SameTracking(*got, *want))
+          << "margin " << c.search_margin << " shot " << shot.ToString();
+      for (const PlayerTrack& track : got->tracks) {
+        points += static_cast<int>(track.points.size());
+      }
+    }
+  }
+  EXPECT_GT(points, 0);
 }
 
 TEST(PlayerTrackerTest, RejectsBadShot) {

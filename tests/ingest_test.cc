@@ -695,6 +695,16 @@ TEST(ShardedIngestTest, QueriesRacingPublishesStayWellFormed) {
     }
   });
 
+  // Start ingest only once the reader is live: the whole ingest takes a
+  // few milliseconds, and on a loaded machine the reader's first query
+  // could otherwise start after it ended (bounded, so a reader that never
+  // gets an answer fails the check below instead of hanging).
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (answered.load() == 0 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+
   util::ThreadPool pool(2);
   CorpusIngestPipeline::Options pipeline_options;
   pipeline_options.pool = &pool;

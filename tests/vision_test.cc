@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "media/frame.h"
+#include "support/reference_segmentation.h"
 #include "vision/color_model.h"
 #include "vision/gray_stats.h"
 #include "vision/histogram.h"
@@ -249,6 +253,161 @@ TEST(ComponentsTest, DiagonalIsNotConnected) {
   EXPECT_EQ(LabelComponents(m).size(), 2u);  // 4-connectivity
 }
 
+// ---------- Windowed masks vs the full-frame reference ----------
+
+/// A frame of background-colored pixels with random rectangles of two
+/// foreground colors and sprinkled single-pixel noise.
+Frame BlobFrame(int w, int h, Rng& rng) {
+  Frame f(w, h, Rgb{40, 120, 40});
+  const Rgb colors[2] = {Rgb{200, 60, 60}, Rgb{230, 230, 230}};
+  const int rects = 1 + static_cast<int>(rng.NextBounded(6));
+  for (int i = 0; i < rects; ++i) {
+    const int x = static_cast<int>(rng.NextInt(-3, w));
+    const int y = static_cast<int>(rng.NextInt(-3, h));
+    f.FillRect(RectI{x, y, static_cast<int>(rng.NextInt(1, w / 2 + 2)),
+                     static_cast<int>(rng.NextInt(1, h / 2 + 2))},
+               colors[rng.NextBounded(2)]);
+  }
+  const int noise = static_cast<int>(rng.NextBounded(
+      static_cast<uint64_t>(w) * static_cast<uint64_t>(h) / 8 + 1));
+  for (int i = 0; i < noise; ++i) {
+    f.Set(static_cast<int>(rng.NextBounded(static_cast<uint64_t>(w))),
+          static_cast<int>(rng.NextBounded(static_cast<uint64_t>(h))),
+          colors[rng.NextBounded(2)]);
+  }
+  return f;
+}
+
+void ExpectSameMask(const BinaryMask& got, const reference::FullMask& want,
+                    const std::string& what) {
+  for (int y = -1; y <= want.height; ++y) {
+    for (int x = -1; x <= want.width; ++x) {
+      ASSERT_EQ(got.At(x, y), want.At(x, y)) << what << " at " << x << "," << y;
+    }
+  }
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void ExpectSameComponents(const std::vector<ConnectedComponent>& got,
+                          const std::vector<ConnectedComponent>& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].label, want[i].label) << what << " #" << i;
+    EXPECT_EQ(got[i].area, want[i].area) << what << " #" << i;
+    EXPECT_EQ(got[i].bbox, want[i].bbox) << what << " #" << i;
+    EXPECT_TRUE(SameBits(got[i].centroid.x, want[i].centroid.x) &&
+                SameBits(got[i].centroid.y, want[i].centroid.y))
+        << what << " #" << i;
+    EXPECT_EQ(got[i].pixels, want[i].pixels) << what << " #" << i;
+  }
+}
+
+TEST(WindowedMaskTest, MatchesFullFrameReference) {
+  Rng rng(4242);
+  const kernels::ColorBox boxes[2] = {
+      kernels::ColorBox{{30, 110, 30}, {50, 130, 50}},  // background
+      kernels::ColorBox{{220, 220, 220}, {255, 255, 255}}};
+  const int sizes[][2] = {{1, 1}, {1, 9}, {9, 1}, {13, 7}, {40, 30},
+                          {128, 96}};
+  int windows_checked = 0;
+  for (const auto& size : sizes) {
+    const int w = size[0], h = size[1];
+    for (int trial = 0; trial < 12; ++trial) {
+      const Frame frame = BlobFrame(w, h, rng);
+      std::vector<RectI> rois = {
+          RectI{0, 0, w, h},            // whole frame
+          RectI{-5, -5, w + 10, h + 10},  // larger than the frame
+          RectI{0, 0, w / 2 + 1, h},    // left and top and bottom edges
+          RectI{w / 2, 0, w - w / 2, h / 2 + 1},  // top and right edges
+          RectI{0, h - 1, w, 1},        // bottom row, 1 px high
+          RectI{w - 1, 0, 1, h},        // right column, 1 px wide
+          RectI{w / 3, h / 3, 1, 1},    // single pixel
+          RectI{w / 2, h / 2, 0, 5},    // empty
+          RectI{w + 1, 0, 4, h},        // fully clipped, right
+          RectI{-6, -6, 5, 5},          // fully clipped, top-left corner
+          RectI{-2, h - 2, 4, 4},       // clipped on two sides
+      };
+      for (int r = 0; r < 6; ++r) {
+        const int x = static_cast<int>(rng.NextInt(-4, w + 1));
+        const int y = static_cast<int>(rng.NextInt(-4, h + 1));
+        rois.push_back(RectI{x, y, static_cast<int>(rng.NextInt(0, w + 4)),
+                             static_cast<int>(rng.NextInt(0, h + 4))});
+      }
+      for (const RectI& roi : rois) {
+        const std::string what = std::to_string(w) + "x" + std::to_string(h) +
+                                 " roi " + roi.ToString();
+        const BinaryMask mask =
+            BinaryMask::FromOutsideColorBoxes(frame, roi, boxes, 2);
+        const reference::FullMask full =
+            reference::OutsideColorBoxes(frame, roi, boxes, 2);
+        const RectI clipped = roi.ClipTo(w, h);
+        if (!clipped.Empty()) {
+          EXPECT_EQ(mask.Window(),
+                    (RectI{clipped.x - 1, clipped.y - 1, clipped.width + 2,
+                           clipped.height + 2}
+                         .ClipTo(w, h)))
+              << what;
+        } else {
+          EXPECT_TRUE(mask.Empty()) << what;
+        }
+        ExpectSameMask(mask, full, what + " mask");
+
+        const BinaryMask opened = mask.Open();
+        const reference::FullMask opened_ref =
+            reference::Dilate(reference::Erode(full));
+        EXPECT_EQ(opened.Window(), mask.Window()) << what;
+        ExpectSameMask(opened, opened_ref, what + " open");
+        for (int64_t min_area : {1, 3}) {
+          ExpectSameComponents(LabelComponents(opened, min_area),
+                               reference::LabelComponents(opened_ref, min_area),
+                               what + " open components");
+        }
+
+        const BinaryMask dilated = mask.Dilate();
+        const reference::FullMask dilated_ref = reference::Dilate(full);
+        ExpectSameMask(dilated, dilated_ref, what + " dilate");
+        ExpectSameComponents(LabelComponents(dilated),
+                             reference::LabelComponents(dilated_ref),
+                             what + " dilate components");
+        ExpectSameMask(mask.Erode(), reference::Erode(full), what + " erode");
+        ExpectSameComponents(LabelComponents(mask),
+                             reference::LabelComponents(full),
+                             what + " mask components");
+        EXPECT_EQ(mask.Count(),
+                  static_cast<int64_t>(std::count(full.bits.begin(),
+                                                  full.bits.end(), 1)))
+            << what;
+        ++windows_checked;
+      }
+    }
+  }
+  EXPECT_EQ(windows_checked, 6 * 12 * 17);
+}
+
+TEST(WindowedMaskTest, OriginAndFrameCoordinates) {
+  BinaryMask m(4, 3, 10, 20);  // window {10, 20, 4, 3}
+  m.Set(11, 21, true);
+  m.Set(12, 21, true);
+  EXPECT_TRUE(m.At(11, 21));
+  EXPECT_FALSE(m.At(1, 1));    // inside the window's raster, outside it
+  EXPECT_FALSE(m.At(14, 21));  // one past the right edge
+  EXPECT_EQ(m.BoundingBox(), (RectI{11, 21, 2, 1}));
+  EXPECT_EQ(m.Dilate().Window(), m.Window());
+  EXPECT_EQ(m.Dilate().BoundingBox(), (RectI{10, 20, 4, 3}));
+  const auto cc = LabelComponents(m);
+  ASSERT_EQ(cc.size(), 1u);
+  EXPECT_EQ(cc[0].bbox, (RectI{11, 21, 2, 1}));
+  EXPECT_EQ(cc[0].pixels,
+            (std::vector<std::pair<int, int>>{{11, 21}, {12, 21}}));
+  EXPECT_EQ(cc[0].centroid.x, 11.5);
+  EXPECT_EQ(cc[0].centroid.y, 21.0);
+  const RegionMoments moments = ComputeMoments(m);
+  EXPECT_EQ(moments.m10, 23.0);
+  EXPECT_EQ(moments.m01, 42.0);
+}
+
 // ---------- Moments ----------
 
 TEST(MomentsTest, CentroidOfSquare) {
@@ -319,6 +478,24 @@ TEST(ShapeFeaturesTest, DominantColorOfRegion) {
   // Dominant color quantized to 32-wide bins: within 16 of the truth.
   EXPECT_NEAR(sf.dominant_color.r, 208, 16);
   EXPECT_NEAR(sf.dominant_color.g, 44, 16);
+}
+
+TEST(ShapeFeaturesTest, DominantColorTieGoesToSmallerKey) {
+  // Red quantizes to key (6, 1, 1) and green to (1, 6, 1): four pixels
+  // each, red first in raster order. The smaller key, green, wins.
+  Frame f(4, 2, Rgb{40, 200, 40});
+  f.FillRect(RectI{0, 0, 4, 1}, Rgb{200, 40, 40});
+  BinaryMask m(4, 2);
+  for (int y = 0; y < 2; ++y) {
+    for (int x = 0; x < 4; ++x) m.Set(x, y, true);
+  }
+  auto cc = LabelComponents(m);
+  ASSERT_EQ(cc.size(), 1u);
+  EXPECT_EQ(ComputeShapeFeatures(f, cc[0]).dominant_color,
+            (Rgb{1 * 32 + 16, 6 * 32 + 16, 1 * 32 + 16}));
+  // A component without pixels keeps the default color.
+  EXPECT_EQ(ComputeShapeFeatures(f, ConnectedComponent{}).dominant_color,
+            Rgb{});
 }
 
 // ---------- Color model ----------
